@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import deque
 from pathlib import Path
 
-from .errors import DegreeSearchError
+from .errors import ConfigError, DegreeSearchError
 from .experiment import ExperimentPlan, VariantSpec, emit_csv, emit_histogram, run_experiment, sample_pairs
 from .generate import BaConfig, generate_ba
-from .graphs import degree_stats, pair_distance
-from .topology import load_edge_list, save_edge_list
+from .graphs import components, degree_stats, pair_distance
+from .topology import giant_component, load_edge_list, save_edge_list
 
 
 def _parse_ba(text: str) -> tuple[int, int]:
@@ -107,9 +106,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         workers=args.workers,
     )
-    result = run_experiment(plan)
+    if args.bin_width < 1:
+        raise ConfigError(f"--bin-width must be >= 1, got {args.bin_width}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    result = run_experiment(plan)
     emit_csv(
         result.summaries,
         result.records,
@@ -131,31 +132,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _component_sizes(adjacency) -> list[int]:
-    n = len(adjacency)
-    seen = [False] * n
-    sizes = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        size = 1
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    size += 1
-                    queue.append(v)
-        sizes.append(size)
-    return sizes
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
-    full, _ = load_edge_list(args.topology, take_giant_component=False)
+    full, id_map = load_edge_list(args.topology, take_giant_component=False)
     stats = degree_stats(full)
-    sizes = _component_sizes(full.adjacency)
+    sizes = [len(component) for component in components(full)]
     giant = max(sizes)
     print(f"nodes: {full.node_count}")
     print(f"edges: {full.edge_count}")
@@ -170,7 +150,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         f"{len(sizes)} component(s)"
     )
     if args.pairs > 0:
-        giant_graph, _ = load_edge_list(args.topology, take_giant_component=True)
+        giant_graph, _ = giant_component(full, id_map)
         if giant_graph.node_count >= 2:
             pairs = sample_pairs(giant_graph, args.pairs, args.seed)
             distances = [pair_distance(giant_graph, s, t) for s, t in pairs]

@@ -21,6 +21,7 @@ __all__ = [
     "DegreeStats",
     "build_graph",
     "bfs_distances",
+    "components",
     "shortest_path",
     "pair_distance",
     "degree_stats",
@@ -176,6 +177,23 @@ def bfs_distances(g: Graph, source: int) -> list[int | None]:
                 dist[v] = du
                 queue.append(v)
     return dist
+
+
+def components(g: Graph) -> list[list[int]]:
+    """Connected components as sorted node-ID lists, ordered by smallest member."""
+    seen = [False] * g.node_count
+    result: list[list[int]] = []
+    for start in range(g.node_count):
+        if not seen[start]:
+            seen[start] = True
+            component = [start]
+            for u in component:  # the list grows while it is read: a BFS queue
+                for v in g.adjacency[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        component.append(v)
+            result.append(sorted(component))
+    return result
 
 
 def shortest_path(g: Graph, source: int, target: int) -> Route | None:

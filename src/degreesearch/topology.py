@@ -8,13 +8,12 @@ and get remapped to dense internal IDs.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import EdgeListError
-from .graphs import Graph, build_graph
+from .graphs import Graph, build_graph, components
 
-__all__ = ["IdMap", "load_edge_list", "save_edge_list"]
+__all__ = ["IdMap", "giant_component", "load_edge_list", "save_edge_list"]
 
 
 @dataclass(frozen=True)
@@ -41,77 +40,73 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
 
     Args:
         path: File to read (UTF-8).
-        take_giant_component: Keep only the largest connected component;
-            ties go to the component containing the smallest label.
+        take_giant_component: Keep only the largest connected component,
+            as ``giant_component`` selects it.
 
     Returns:
         ``(graph, id_map)`` where the map covers exactly the kept nodes.
 
     Raises:
-        EdgeListError: On a malformed line, or when no edges survive
-            filtering.
+        EdgeListError: On a malformed line, text that is not UTF-8, or
+            when no edges survive filtering.
         OSError: If the file cannot be read.
     """
     pairs: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise EdgeListError(
-                    f"expected two tokens, got {len(tokens)}",
-                    path=path,
-                    line_no=line_no,
-                )
-            a, b = tokens
-            if a == b:
-                continue
-            pairs.add((a, b) if a < b else (b, a))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                tokens = line.split()
+                if len(tokens) != 2:
+                    raise EdgeListError(
+                        f"expected two tokens, got {len(tokens)}",
+                        path=path,
+                        line_no=line_no,
+                    )
+                a, b = tokens
+                if a == b:
+                    continue
+                pairs.add((a, b) if a < b else (b, a))
+    except UnicodeDecodeError as exc:
+        # Undecodable bytes reread as lone surrogates, which UTF-8 never yields.
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                if any("\udc80" <= ch <= "\udcff" for ch in raw):
+                    break
+        message = f"not UTF-8 text ({exc.reason})"
+        raise EdgeListError(message, path=path, line_no=line_no) from None
     if not pairs:
         raise EdgeListError("no usable edges in file", path=path)
 
-    labels = {a for a, _ in pairs} | {b for _, b in pairs}
-    if take_giant_component:
-        labels = _giant_component(labels, pairs)
-        pairs = {(a, b) for a, b in pairs if a in labels}
+    graph, id_map = _indexed({label for pair in pairs for label in pair}, pairs)
+    return giant_component(graph, id_map) if take_giant_component else (graph, id_map)
 
+
+def giant_component(g: Graph, id_map: IdMap) -> tuple[Graph, IdMap]:
+    """The largest connected component of a loaded graph.
+
+    Ties go to the component holding the smallest internal ID.  The kept
+    labels are ordered among themselves, so the result equals loading a
+    file that holds only this component.  A connected graph comes back as
+    is.
+    """
+    giant = max(components(g), key=len, default=[])
+    if len(giant) == g.node_count:
+        return g, id_map
+    names = id_map.internal_to_external
+    return _indexed(
+        {names[u] for u in giant},
+        [(names[u], names[v]) for u in giant for v in g.adjacency[u] if u < v],
+    )
+
+
+def _indexed(labels: set[str], pairs) -> tuple[Graph, IdMap]:
     ordered = _label_order(labels)
-    external_to_internal = {label: i for i, label in enumerate(ordered)}
-    edges = [
-        (external_to_internal[a], external_to_internal[b]) for a, b in pairs
-    ]
-    graph = build_graph(edges, len(ordered))
-    return graph, IdMap(external_to_internal, ordered)
-
-
-def _giant_component(
-    labels: set[str], pairs: set[tuple[str, str]]
-) -> set[str]:
-    adjacency: dict[str, list[str]] = {label: [] for label in labels}
-    for a, b in pairs:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen: set[str] = set()
-    best: set[str] = set()
-    for start in _label_order(labels):
-        if start in seen:
-            continue
-        component = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in component:
-                    component.add(v)
-                    queue.append(v)
-        seen |= component
-        # Starts are visited smallest-label first, so on a size tie the
-        # component containing the smallest label wins.
-        if len(component) > len(best):
-            best = component
-    return best
+    index = {label: i for i, label in enumerate(ordered)}
+    graph = build_graph([(index[a], index[b]) for a, b in pairs], len(ordered))
+    return graph, IdMap(index, ordered)
 
 
 def save_edge_list(g: Graph, path) -> None:
@@ -119,12 +114,18 @@ def save_edge_list(g: Graph, path) -> None:
 
     Each edge appears once as ``u v`` with ``u < v``, lines sorted, LF
     newlines.  Loading the result back reproduces the adjacency exactly for
-    any graph without isolated nodes.
+    any graph without isolated nodes.  A failed write raises an ``OSError``
+    that names ``path`` and leaves no temporary file behind.
     """
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        for u in range(g.node_count):
-            for v in g.adjacency[u]:
-                if v > u:
-                    handle.write(f"{u} {v}\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            for u in range(g.node_count):
+                for v in g.adjacency[u]:
+                    if v > u:
+                        handle.write(f"{u} {v}\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None

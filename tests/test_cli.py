@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from degreesearch import load_edge_list
+from degreesearch import cli, load_edge_list
 from degreesearch.cli import main
 
 
@@ -140,6 +140,52 @@ def test_run_rejects_consult_without_h2(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_generate_into_missing_directory_names_the_path(tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.txt"
+    assert main(["generate", "--nodes", "50", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert repr(str(out)) in err
+    assert ".tmp" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_failed_replace_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["generate", "--nodes", "50", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert repr(str(out)) in err
+    assert ".tmp" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def _refuse_to_run(plan):
+    raise AssertionError("the experiment ran before its output settings were checked")
+
+
+def test_run_rejects_bad_bin_width_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", _refuse_to_run)
+    out_dir = tmp_path / "o"
+    code = main(
+        ["run", "--ba", "300,2", "--pairs", "5", "--rounds", "1", "--bin-width", "0", "--out-dir", str(out_dir)]
+    )
+    assert code == 2
+    assert "--bin-width" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_rejects_out_dir_that_is_a_file_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", _refuse_to_run)
+    out_dir = tmp_path / "o"
+    out_dir.write_text("keep\n", encoding="utf-8")
+    code = main(["run", "--ba", "300,2", "--pairs", "5", "--rounds", "1", "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out_dir.read_text(encoding="utf-8") == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["o"]
+
+
 def test_bad_ba_argument_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--ba", "abc", "--out-dir", str(tmp_path)])
@@ -169,6 +215,31 @@ def test_stats_counts_components(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "nodes: 5" in out
     assert "giant component: 3 nodes (60.0%), 2 component(s)" in out
+
+
+def test_stats_reads_topology_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_load(*args, **kwargs):
+        calls.append((args, kwargs))
+        return load_edge_list(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_edge_list", counting_load)
+    graph_file = tmp_path / "two.txt"
+    graph_file.write_text("0 1\n2 3\n3 4\n", encoding="utf-8")
+    assert main(["stats", "--topology", str(graph_file), "--pairs", "10"]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "giant component: 3 nodes (60.0%), 2 component(s)" in out
+    assert "mean shortest path (10 sampled pairs):" in out
+
+
+def test_stats_non_utf8_topology_is_clean_error(tmp_path, capsys):
+    graph_file = tmp_path / "bad.txt"
+    graph_file.write_bytes(b"0 1\n1 \xff\xfe\n")
+    assert main(["stats", "--topology", str(graph_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {graph_file}:2: ")
 
 
 def test_module_entry_point(tmp_path):

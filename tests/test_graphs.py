@@ -14,7 +14,7 @@ from degreesearch import (
     pair_distance,
     shortest_path,
 )
-from degreesearch.graphs import _fit_exponent
+from degreesearch.graphs import _fit_exponent, components
 
 from helpers import check_graph_invariants, floyd_warshall, random_graph
 
@@ -132,6 +132,35 @@ def test_bfs_edge_triangle_property():
                 for v in g.neighbors(u):
                     if d[u] is not None and d[v] is not None:
                         assert abs(d[u] - d[v]) <= 1
+
+
+# --- components ---
+
+
+def test_components_ordered_by_smallest_member():
+    g = build_graph([(5, 3), (6, 2), (4, 0), (1, 4)], 7)
+    assert components(g) == [[0, 1, 4], [2, 6], [3, 5]]
+
+
+def test_components_isolated_nodes_are_singletons():
+    assert components(build_graph([(3, 1)], 5)) == [[0], [1, 3], [2], [4]]
+
+
+def test_components_empty_graph():
+    assert components(build_graph([], 0)) == []
+
+
+def test_components_match_brute_force_reachability():
+    for seed in range(15):
+        rng = random.Random(200 + seed)
+        n = rng.randrange(1, 40)
+        g = random_graph(rng, n, rng.choice([0.02, 0.05, 0.1]))
+        dist = floyd_warshall(g)
+        found = components(g)
+        assert sorted(u for c in found for u in c) == list(range(n))
+        assert [c[0] for c in found] == sorted(c[0] for c in found)
+        for c in found:
+            assert c == [v for v in range(n) if dist[c[0]][v] is not None]
 
 
 # --- shortest_path ---

@@ -1,5 +1,7 @@
 """Edge-list file loading, component filtering, and round-trips."""
 
+import random
+
 import pytest
 
 from degreesearch import (
@@ -9,6 +11,7 @@ from degreesearch import (
     load_edge_list,
     save_edge_list,
 )
+from degreesearch.topology import giant_component
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -61,6 +64,78 @@ def test_component_size_tie_prefers_smallest_label(tmp_path):
     g, idmap = load_edge_list(write(tmp_path, "5 6\n0 1\n"))
     assert g.node_count == 2
     assert sorted(idmap.external_to_internal) == ["0", "1"]
+
+
+def test_giant_labels_ordered_among_themselves(tmp_path):
+    # "a" forces string order on the whole file; without it the giant's
+    # labels are all numeric and sort by value.
+    g, idmap = load_edge_list(write(tmp_path, "a b\n10 9\n9 8\n"))
+    assert idmap.internal_to_external == ["8", "9", "10"]
+    assert idmap.external_to_internal == {"8": 0, "9": 1, "10": 2}
+    assert g.adjacency == ((1,), (0, 2), (1,))
+
+
+def test_giant_component_of_connected_graph_is_unchanged(tmp_path):
+    g, idmap = load_edge_list(write(tmp_path, "0 1\n1 2\n"), take_giant_component=False)
+    giant, giant_map = giant_component(g, idmap)
+    assert giant is g
+    assert giant_map is idmap
+
+
+def _random_components(rng):
+    kind = rng.choice(["numeric", "string", "mixed"])
+    pool = [str(i) for i in rng.sample(range(1000), 60)]
+    if kind != "numeric":
+        names = [rng.choice("abxyz") + str(i) for i in range(60)]
+        pool = names if kind == "string" else pool[:40] + names[:20]
+    rng.shuffle(pool)
+    comps = []
+    for _ in range(rng.randrange(1, 6)):
+        size = rng.choice([2, 2, 3, 3, 5])
+        comps.append([pool.pop() for _ in range(size)])
+    return comps
+
+
+def _edge_lines(rng, comp):
+    # A random spanning tree keeps the component connected; extra random
+    # pairs add cycles, duplicates and self-loops.
+    lines = [f"{comp[i]} {comp[rng.randrange(i)]}" for i in range(1, len(comp))]
+    lines += [f"{rng.choice(comp)} {rng.choice(comp)}" for _ in range(len(comp))]
+    return lines
+
+
+def test_giant_component_matches_loading_only_the_giant(tmp_path):
+    for seed in range(120):
+        rng = random.Random(seed)
+        comps = _random_components(rng)
+        lines_by_comp = [_edge_lines(rng, comp) for comp in comps]
+        lines = [line for comp_lines in lines_by_comp for line in comp_lines]
+        rng.shuffle(lines)
+        path = write(tmp_path, "\n".join(lines) + "\n", f"g{seed}.txt")
+
+        full, full_map = load_edge_list(path, take_giant_component=False)
+        loaded = load_edge_list(path)
+        assert loaded == giant_component(full, full_map)
+
+        # Largest component; on a size tie, the one holding the label that
+        # comes first in the full file's order.
+        rank = full_map.external_to_internal
+        best = min(
+            range(len(comps)),
+            key=lambda i: (-len(comps[i]), min(rank[label] for label in comps[i])),
+        )
+        alone = write(tmp_path, "\n".join(lines_by_comp[best]) + "\n", f"alone{seed}.txt")
+        assert loaded == load_edge_list(alone, take_giant_component=False)
+
+
+def test_load_non_utf8_is_edge_list_error(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"# header\n0 1\n1 \xff\xfe\n2 3\n")
+    with pytest.raises(EdgeListError) as exc:
+        load_edge_list(path)
+    assert exc.value.line_no == 3
+    assert str(path) in str(exc.value)
+    assert "UTF-8" in str(exc.value)
 
 
 def test_flag_off_keeps_everything(tmp_path):
