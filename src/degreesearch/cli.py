@@ -172,10 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DegreeSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DegreeSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -199,8 +199,9 @@ def components(g: Graph) -> list[list[int]]:
 def shortest_path(g: Graph, source: int, target: int) -> Route | None:
     """One shortest path from ``source`` to ``target``, or ``None``.
 
-    Deterministic: walking back from the target, each predecessor is the
-    smallest-ID neighbor one BFS level closer to the source.
+    The reference oracle for routes: a full ``bfs_distances`` from the
+    source, then a walk back from the target in which each predecessor is
+    the smallest-ID neighbor one BFS level closer to the source.
 
     Args:
         g: Graph to traverse.
@@ -214,36 +215,15 @@ def shortest_path(g: Graph, source: int, target: int) -> Route | None:
     Raises:
         NodeIdError: If either endpoint is out of range.
     """
-    _check_node(g, source, "source")
+    dist = bfs_distances(g, source)
     _check_node(g, target, "target")
-    if source == target:
-        return Route((source,))
-    # BFS discovers nodes in non-decreasing distance order, so once the
-    # target is labeled every strictly closer node already has its final
-    # distance and the backward pass below is safe.
-    dist = [-1] * g.node_count
-    dist[source] = 0
-    queue = deque([source])
-    adjacency = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                if v == target:
-                    break
-                queue.append(v)
-        else:
-            continue
-        break
-    if dist[target] < 0:
+    if dist[target] is None:
         return None
     path = [target]
     v = target
     while v != source:
         want = dist[v] - 1
-        for u in adjacency[v]:  # ascending IDs, first hit is the smallest
+        for u in g.adjacency[v]:  # ascending IDs, first hit is the smallest
             if dist[u] == want:
                 v = u
                 break

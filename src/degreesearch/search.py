@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ConfigError, RouteError
-from .graphs import Graph, Route, _check_node, shortest_path
+from .graphs import Graph, Route, _check_node, bfs_distances
 
 __all__ = [
     "SearchConfig",
@@ -110,30 +110,15 @@ class WalkTrace:
 def khop_contains(g: Graph, center: int, target: int, h: int) -> bool:
     """Whether ``target`` lies within ``h`` hops of ``center``.
 
-    Runs a depth-limited BFS from ``center``; no global precomputation.
+    The plain definition over ``bfs_distances``, kept as the reference the
+    search's own visibility checks are tested against.
     """
     _check_node(g, center, "center")
     _check_node(g, target, "target")
     if h < 1:
         raise ConfigError(f"h must be >= 1, got {h}")
-    if center == target:
-        return True
-    adjacency = g.adjacency
-    seen = {center}
-    frontier = [center]
-    for _ in range(h):
-        nxt: list[int] = []
-        for u in frontier:
-            for v in adjacency[u]:
-                if v == target:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        if not nxt:
-            return False
-        frontier = nxt
-    return False
+    d = bfs_distances(g, center)[target]
+    return d is not None and d <= h
 
 
 def _ball(g: Graph, center: int, h: int) -> set[int]:
@@ -184,7 +169,6 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
     # probe per arrival (the radius-3 ball itself can cover most of a
     # scale-free graph, the probe is far cheaper).
     ball = _ball(g, target, min(h, 2))
-    near_cache: dict[int, bool] = {}
 
     occupied = {source}
     sequence = [source]
@@ -200,19 +184,10 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
 
     while True:
         # (0) arrival check
-        if current in ball:
+        if current in ball or (h == 3 and not ball.isdisjoint(neighbor_sets[current])):
             outcome = SearchOutcome.FOUND
             found_via = current
             break
-        if h == 3:
-            hit = near_cache.get(current)
-            if hit is None:
-                hit = not ball.isdisjoint(neighbor_sets[current])
-                near_cache[current] = hit
-            if hit:
-                outcome = SearchOutcome.FOUND
-                found_via = current
-                break
         # (0b) consultation, highest degree first, never the same node twice
         if budget:
             asked = 0
@@ -282,13 +257,44 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
     )
 
 
+def _tail(g: Graph, via: int, target: int) -> list[int]:
+    """The nodes after ``via`` on the reference shortest path to ``target``.
+
+    The search stops only once ``via`` sees the target, so the distance is
+    at most 3 and neighbor-set lookups replace a BFS.  Walking back from
+    the target, each step takes the smallest-ID neighbor one hop closer to
+    ``via``: the same rule as the BFS oracle in ``graphs``.
+
+    Raises:
+        RouteError: If the target is more than 3 hops from ``via``.
+    """
+    if via == target:
+        return []
+    adjacency = g.adjacency
+    neighbor_sets = g.neighbor_sets
+    near = neighbor_sets[via]
+    if target in near:
+        return [target]
+    for m in adjacency[target]:
+        if m in near:
+            return [m, target]
+    for b in adjacency[target]:
+        if not near.isdisjoint(neighbor_sets[b]):
+            a = next(a for a in adjacency[b] if a in near)
+            return [a, b, target]
+    raise RouteError(
+        f"trace claims the target was seen from {via}, but {target} is more than 3 hops away"
+    )
+
+
 def walk_node_list(g: Graph, trace: WalkTrace, target: int) -> tuple[int, ...]:
     """Full delivered node list of a successful search, repeats included.
 
     The occupied sequence, extended through the consulted neighbor when
-    one answered, then along the exact shortest path to the target.
-    Consecutive entries are adjacent; nodes may repeat wherever the walk
-    deflected or the tail re-enters walked ground.
+    one answered, then along a shortest path to the target inside the
+    three-hop neighborhood the search saw.  Consecutive entries are
+    adjacent; nodes may repeat wherever the walk deflected or the tail
+    re-enters walked ground.
     """
     if trace.outcome is not SearchOutcome.FOUND:
         raise RouteError(
@@ -296,17 +302,12 @@ def walk_node_list(g: Graph, trace: WalkTrace, target: int) -> tuple[int, ...]:
         )
     _check_node(g, target, "target")
     via = trace.found_via
-    tail = shortest_path(g, via, target)
-    if tail is None:
-        raise RouteError(
-            f"trace claims the target was seen from {via}, but {target} is unreachable"
-        )
+    _check_node(g, via, "found_via")
     nodes = list(trace.occupied_sequence)
-    if via == nodes[-1]:
-        nodes.extend(tail.nodes[1:])
-    else:
+    if via != nodes[-1]:
         # Found through a consulted neighbor: route detours over it.
-        nodes.extend(tail.nodes)
+        nodes.append(via)
+    nodes.extend(_tail(g, via, target))
     return tuple(nodes)
 
 

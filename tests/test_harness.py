@@ -1,6 +1,7 @@
 """Experiment pipeline: pairing, aggregation, emission, reproducibility."""
 
 import csv
+import hashlib
 import json
 import random
 
@@ -346,3 +347,41 @@ def test_step_cap_failures_recorded(tmp_path):
         assert r.walk_steps <= 1
         if r.outcome != "found":
             assert r.route_length is None and r.refined_length is None
+
+
+# --- pinned output bytes ---
+
+# sha256 of each output file of a small seven-variant plan (the canonical
+# variants on BA n=2000, m=3), so any change to the bytes a run emits shows
+# up here.  The plan reaches route tails of 1, 2 and 3 hops and
+# consultation-found tails.
+PINNED_DIGESTS = {
+    "searches.csv": "e0eb9645d60022704af709f3521deb841e294f5628ed77ceed0f115805cac0e5",
+    "summary.json": "05bcc537ae0a55c6bf0c78250eab95625684cc42f17e4cc85169a5fb768f1299",
+    "histogram.csv": "7a04fa14c9776903ff765ebe27c3d556a798bde57cc9b5bcc587238b2c0497a0",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_canonical_variants_output_bytes_pinned(tmp_path, workers):
+    plan = ExperimentPlan(
+        topology=BaConfig(n=2000, m_attach=3, seed_size=3, rng_seed=0),
+        variants=(
+            VariantSpec(visibility_h=1),
+            VariantSpec(visibility_h=2),
+            VariantSpec(visibility_h=3),
+            VariantSpec(visibility_h=2, consult_budget_c=2),
+            VariantSpec(visibility_h=2, consult_budget_c=3),
+            VariantSpec(visibility_h=2, consult_budget_c=5),
+            VariantSpec(visibility_h=2, refine=True),
+        ),
+        pairs_per_round=100,
+        rounds=2,
+        master_seed=0,
+        workers=workers,
+    )
+    result = run_experiment(plan)
+    emit_csv(result.summaries, result.records, tmp_path / "searches.csv", tmp_path / "summary.json")
+    emit_histogram(result.records, 10, tmp_path / "histogram.csv")
+    for name, digest in PINNED_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -10,6 +10,7 @@ from degreesearch import (
     RouteError,
     SearchConfig,
     SearchOutcome,
+    WalkTrace,
     bfs_distances,
     build_graph,
     generate_ba,
@@ -18,9 +19,15 @@ from degreesearch import (
     materialize_route,
     pair_distance,
     run_search,
+    shortest_path,
+    walk_node_list,
 )
 
 from helpers import random_graph
+
+
+# Every (visibility_h, consult_budget_c) walk configuration the harness runs.
+WALK_CONFIGS = ((1, 0), (2, 0), (3, 0), (2, 2), (2, 3), (2, 5))
 
 
 def star5():
@@ -33,16 +40,36 @@ def replay(g, s, t, cfg, trace):
     The only information taken from the trace is the order in which new
     nodes were occupied (the random tie choices); everything else, the
     forward-or-deflect decision, degree maximality, deflection targets,
-    and the final outcome condition, is recomputed from scratch.
+    the first-hit rule, every consultation and the final outcome
+    condition, is recomputed from scratch with ``khop_contains``.
     """
     seq = trace.occupied_sequence
     assert seq[0] == s
     assert len(seq) == trace.walk_steps + 1
-    pos = s
+    h = cfg.visibility_h
+    cap = cfg.step_cap if cfg.step_cap is not None else g.node_count
+    assert trace.walk_steps <= cap
     occupied = {s}
+    asked = {s}  # occupied nodes already answered for themselves
     entry = {s: None}
-    forwards = deflections = 0
-    for nxt in seq[1:]:
+    forwards = deflections = consults = 0
+
+    def consult(pos):
+        # Highest degree first, ties by ID, never the same node twice, a
+        # fresh budget at every arrival; stops at the first positive answer.
+        nonlocal consults
+        ranked = sorted(g.neighbors(pos), key=lambda w: (-g.degree(w), w))
+        for w in [w for w in ranked if w not in asked][: cfg.consult_budget_c]:
+            asked.add(w)
+            consults += 1
+            if khop_contains(g, w, t, 2):
+                return w
+        return None
+
+    for pos, nxt in zip(seq, seq[1:]):
+        # First-hit rule: nobody at an earlier arrival saw the target.
+        assert not khop_contains(g, pos, t, h)
+        assert consult(pos) is None
         fresh = [w for w in g.neighbors(pos) if w not in occupied]
         if fresh:
             assert nxt in fresh
@@ -50,31 +77,32 @@ def replay(g, s, t, cfg, trace):
             assert g.degree(nxt) == top
             entry[nxt] = pos
             occupied.add(nxt)
+            asked.add(nxt)
             forwards += 1
         else:
             assert entry[pos] is not None
             assert nxt == entry[pos]
             deflections += 1
-        pos = nxt
+    pos = seq[-1]
     assert forwards == trace.forwards
     assert deflections == trace.deflections
-    h = cfg.visibility_h
-    if trace.outcome is SearchOutcome.FOUND:
-        if trace.found_via == pos:
-            assert khop_contains(g, pos, t, h)
-        else:
-            assert cfg.consult_budget_c > 0
-            assert trace.found_via in g.neighbor_set(pos)
-            assert khop_contains(g, trace.found_via, t, 2)
-    elif trace.outcome is SearchOutcome.STEP_CAP_EXHAUSTED:
-        cap = cfg.step_cap if cfg.step_cap is not None else g.node_count
-        assert trace.walk_steps == cap
-        assert not khop_contains(g, pos, t, h)
+    if trace.outcome is SearchOutcome.FOUND and trace.found_via == pos:
+        assert khop_contains(g, pos, t, h)
     else:
-        assert trace.outcome is SearchOutcome.STUCK_AT_SOURCE
-        assert pos == s
-        assert all(w in occupied for w in g.neighbors(s))
         assert not khop_contains(g, pos, t, h)
+        answered = consult(pos)
+        if trace.outcome is SearchOutcome.FOUND:
+            assert cfg.consult_budget_c > 0
+            assert answered == trace.found_via
+        else:
+            assert answered is None
+            assert trace.found_via is None
+        if trace.outcome is SearchOutcome.STEP_CAP_EXHAUSTED:
+            assert trace.walk_steps == cap
+        elif trace.outcome is SearchOutcome.STUCK_AT_SOURCE:
+            assert pos == s
+            assert all(w in occupied for w in g.neighbors(s))
+    assert consults == trace.consults
 
 
 # --- khop_contains ---
@@ -294,6 +322,24 @@ def test_replay_with_consultation():
         replay(g, s, t, cfg, trace)
 
 
+def test_replay_ba_graphs_all_walk_configs():
+    # Preferential attachment gives hubs and many degree ties, so the
+    # ranking, tie and consultation rules all get exercised.
+    for m in (1, 2, 3):
+        for seed in range(6):
+            rng = random.Random(600 + 10 * m + seed)
+            n = rng.randrange(20, 120)
+            g = generate_ba(BaConfig(n=n, m_attach=m, seed_size=3, rng_seed=seed))
+            for _ in range(4):
+                s, t = rng.randrange(n), rng.randrange(n)
+                step_cap = rng.choice([None, 3, 4 * n])
+                for h, c in WALK_CONFIGS:
+                    cfg = SearchConfig(
+                        visibility_h=h, consult_budget_c=c, step_cap=step_cap, rng_seed=seed
+                    )
+                    replay(g, s, t, cfg, run_search(g, s, t, cfg))
+
+
 # --- determinism and ordering properties ---
 
 
@@ -406,8 +452,6 @@ def test_materialize_appends_adjacent_target():
 
 
 def test_materialize_truncates_at_first_target_occurrence():
-    from degreesearch import WalkTrace
-
     g = build_graph([(0, 1), (1, 2), (2, 3)], 4)
     trace = WalkTrace(
         occupied_sequence=(0, 1, 2, 3),
@@ -448,3 +492,72 @@ def test_materialized_routes_are_valid_and_bounded_below():
         for a, b in zip(route.nodes, route.nodes[1:]):
             assert g.has_edge(a, b)
         assert route.length >= pair_distance(g, s, t)
+
+
+# --- walk_node_list tails against the shortest_path oracle ---
+
+
+def test_walk_node_list_tail_matches_shortest_path():
+    graphs = [
+        generate_ba(BaConfig(n=n, m_attach=m, seed_size=3, rng_seed=m + n))
+        for m in (1, 2, 3)
+        for n in (40, 300)
+    ]
+    rng = random.Random(77)
+    graphs += [random_graph(rng, rng.randrange(10, 80), 0.06) for _ in range(6)]
+    tail_lengths = set()
+    consult_found = 0
+    for g in graphs:
+        n = g.node_count
+        for i in range(25):
+            s, t = rng.randrange(n), rng.randrange(n)
+            for h, c in WALK_CONFIGS:
+                cfg = SearchConfig(visibility_h=h, consult_budget_c=c, rng_seed=i)
+                trace = run_search(g, s, t, cfg)
+                if trace.outcome is not SearchOutcome.FOUND:
+                    continue
+                via = trace.found_via
+                expected = list(trace.occupied_sequence)
+                if via != expected[-1]:
+                    expected.append(via)
+                    consult_found += 1
+                oracle = shortest_path(g, via, t).nodes
+                expected.extend(oracle[1:])
+                assert walk_node_list(g, trace, t) == tuple(expected)
+                tail_lengths.add(len(oracle) - 1)
+    assert tail_lengths == {0, 1, 2, 3}
+    assert consult_found > 0
+
+
+def found_trace(sequence, via):
+    return WalkTrace(
+        occupied_sequence=sequence,
+        forwards=len(sequence) - 1,
+        deflections=0,
+        consults=0,
+        outcome=SearchOutcome.FOUND,
+        found_via=via,
+    )
+
+
+def test_walk_node_list_three_hop_tail_takes_smallest_ids():
+    # Two 3-hop paths from 0 to 9, 0-2-3-9 and 0-1-4-9: walking back from
+    # 9, node 3 is its smallest neighbor two hops from 0, and 2 the
+    # smallest neighbor of 3 adjacent to 0.
+    g = build_graph([(0, 1), (0, 2), (1, 4), (2, 3), (3, 9), (4, 9)], 10)
+    assert walk_node_list(g, found_trace((0,), 0), 9) == (0, 2, 3, 9)
+    assert shortest_path(g, 0, 9).nodes == (0, 2, 3, 9)
+
+
+def test_walk_node_list_rejects_via_four_hops_from_target():
+    g = build_graph([(i, i + 1) for i in range(4)], 5)
+    with pytest.raises(RouteError):
+        walk_node_list(g, found_trace((0,), 0), 4)
+    with pytest.raises(RouteError):
+        materialize_route(g, found_trace((1, 0), 0), 4)
+
+
+def test_walk_node_list_rejects_via_in_other_component():
+    g = build_graph([(0, 1), (2, 3)], 4)
+    with pytest.raises(RouteError):
+        walk_node_list(g, found_trace((0, 1), 1), 3)
