@@ -59,10 +59,11 @@ class Graph:
     @cached_property
     def neighbors_by_degree(self) -> tuple[tuple[int, ...], ...]:
         """Neighbors of each node sorted by descending degree, ties by ID."""
-        deg = self.degrees
+        # The sort is stable even when reversed, so equal degrees keep the
+        # ascending ID order of the adjacency tuple.
+        by_degree = self.degrees.__getitem__
         return tuple(
-            tuple(sorted(nbrs, key=lambda w: (-deg[w], w)))
-            for nbrs in self.adjacency
+            tuple(sorted(nbrs, key=by_degree, reverse=True)) for nbrs in self.adjacency
         )
 
     def degree(self, node: int) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Collection
 
 from .errors import EdgeListError
 from .graphs import Graph, build_graph, components
@@ -24,19 +25,24 @@ class IdMap:
     internal_to_external: list[str]
 
 
-def _label_order(labels: set[str]):
+def _label_order(labels: Collection[str]) -> list[str]:
     # Sorting by numeric value keeps files written by save_edge_list mapping
-    # back to the identical internal IDs; mixed or non-numeric labels fall
-    # back to plain string order.  Either way the assignment is independent
-    # of line order in the file.
+    # back to the identical internal IDs; labels equal in value ("1", "01")
+    # go by string.  Mixed or non-numeric labels fall back to plain string
+    # order.  Either way the assignment is independent of line order in the
+    # file.
     try:
-        return sorted(labels, key=lambda s: (int(s), s))
+        return [s for _, s in sorted([(int(s), s) for s in labels])]
     except ValueError:
         return sorted(labels)
 
 
 def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMap]:
     """Read a graph from an edge-list file.
+
+    The loader keeps one copy of each label and holds edges as integer
+    IDs, never as pairs of label strings, so its peak memory stays a small
+    multiple of the graph it returns.
 
     Args:
         path: File to read (UTF-8).
@@ -51,14 +57,16 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
             when no edges survive filtering.
         OSError: If the file cannot be read.
     """
-    pairs: set[tuple[str, str]] = set()
+    # Provisional IDs follow first appearance; each edge is two consecutive
+    # entries of ``ends``.  build_graph drops the duplicates.
+    ids: dict[str, int] = {}
+    ends: list[int] = []
     try:
         with open(path, encoding="utf-8") as handle:
             for line_no, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
+                tokens = raw.split()
+                if not tokens or tokens[0].startswith("#"):
                     continue
-                tokens = line.split()
                 if len(tokens) != 2:
                     raise EdgeListError(
                         f"expected two tokens, got {len(tokens)}",
@@ -66,9 +74,9 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
                         line_no=line_no,
                     )
                 a, b = tokens
-                if a == b:
-                    continue
-                pairs.add((a, b) if a < b else (b, a))
+                if a != b:
+                    ends.append(ids.setdefault(a, len(ids)))
+                    ends.append(ids.setdefault(b, len(ids)))
     except UnicodeDecodeError as exc:
         # Undecodable bytes reread as lone surrogates, which UTF-8 never yields.
         with open(path, encoding="utf-8", errors="surrogateescape") as handle:
@@ -77,10 +85,11 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
                     break
         message = f"not UTF-8 text ({exc.reason})"
         raise EdgeListError(message, path=path, line_no=line_no) from None
-    if not pairs:
+    if not ends:
         raise EdgeListError("no usable edges in file", path=path)
 
-    graph, id_map = _indexed({label for pair in pairs for label in pair}, pairs)
+    flat = iter(ends)
+    graph, id_map = _indexed(ids, zip(flat, flat))
     return giant_component(graph, id_map) if take_giant_component else (graph, id_map)
 
 
@@ -96,16 +105,21 @@ def giant_component(g: Graph, id_map: IdMap) -> tuple[Graph, IdMap]:
     if len(giant) == g.node_count:
         return g, id_map
     names = id_map.internal_to_external
+    position = {u: p for p, u in enumerate(giant)}
     return _indexed(
-        {names[u] for u in giant},
-        [(names[u], names[v]) for u in giant for v in g.adjacency[u] if u < v],
+        [names[u] for u in giant],
+        [(position[u], position[v]) for u in giant for v in g.adjacency[u] if u < v],
     )
 
 
-def _indexed(labels: set[str], pairs) -> tuple[Graph, IdMap]:
+def _indexed(labels: Collection[str], edges) -> tuple[Graph, IdMap]:
+    # Iterating ``labels`` yields the label of each provisional ID, 0 first;
+    # ``edges`` are pairs of provisional IDs, remapped through ``rank`` to
+    # the final order.
     ordered = _label_order(labels)
     index = {label: i for i, label in enumerate(ordered)}
-    graph = build_graph([(index[a], index[b]) for a, b in pairs], len(ordered))
+    rank = [index[label] for label in labels]
+    graph = build_graph(((rank[u], rank[v]) for u, v in edges), len(ordered))
     return graph, IdMap(index, ordered)
 
 

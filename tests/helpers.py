@@ -2,7 +2,8 @@
 
 import random
 
-from degreesearch import Graph, build_graph
+from degreesearch import EdgeListError, Graph, IdMap, build_graph
+from degreesearch.graphs import components
 
 
 def random_graph(rng, n, p, ensure_connected=False):
@@ -52,6 +53,53 @@ def floyd_warshall(g):
                 if alt < di[j]:
                     di[j] = alt
     return [[None if d == inf else int(d) for d in row] for row in dist]
+
+
+def reference_load_edge_list(path, take_giant_component=True):
+    """The plain definition of ``load_edge_list``: a set of string pairs.
+
+    Every non-blank, non-``#`` line holds two labels; self-loops and
+    repeated edges in either orientation are dropped; the labels of the
+    surviving pairs are ordered by integer value then string, or by string
+    when one is not an integer; the giant component is the largest, ties
+    to the one holding the smallest ID, with its labels ordered afresh.
+    """
+    pairs = set()
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise EdgeListError(
+                    f"expected two tokens, got {len(tokens)}", path=path, line_no=line_no
+                )
+            a, b = tokens
+            if a == b:
+                continue
+            pairs.add((a, b) if a < b else (b, a))
+    if not pairs:
+        raise EdgeListError("no usable edges in file", path=path)
+    g, id_map = _reference_indexed(pairs)
+    if take_giant_component:
+        giant = max(components(g), key=len)
+        names = id_map.internal_to_external
+        g, id_map = _reference_indexed(
+            {(names[u], names[v]) for u in giant for v in g.adjacency[u] if u < v}
+        )
+    return g, id_map
+
+
+def _reference_indexed(pairs):
+    labels = {label for pair in pairs for label in pair}
+    try:
+        ordered = sorted(labels, key=lambda s: (int(s), s))
+    except ValueError:
+        ordered = sorted(labels)
+    index = {label: i for i, label in enumerate(ordered)}
+    g = build_graph([(index[a], index[b]) for a, b in pairs], len(ordered))
+    return g, IdMap(index, ordered)
 
 
 def check_graph_invariants(g):

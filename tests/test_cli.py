@@ -1,8 +1,10 @@
 """Command-line interface behavior."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +245,9 @@ def test_stats_non_utf8_topology_is_clean_error(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # The child imports the package this process imported, installed or not.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [
             sys.executable,
@@ -258,6 +263,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "wrote 10 nodes" in result.stdout

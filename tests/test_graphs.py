@@ -5,12 +5,14 @@ import random
 import pytest
 
 from degreesearch import (
+    BaConfig,
     ConfigError,
     EdgeError,
     NodeIdError,
     bfs_distances,
     build_graph,
     degree_stats,
+    generate_ba,
     pair_distance,
     shortest_path,
 )
@@ -87,6 +89,23 @@ def test_has_edge_and_neighbor_set():
     assert not g.has_edge(1, 2)
     assert g.neighbor_set(0) == {1, 2, 3, 4}
     assert g.neighbor_set(2) == {0}
+
+
+def test_neighbors_by_degree_matches_definition():
+    # BA trees (m = 1) and sparse G(n, p) graphs have many equal degrees.
+    rng = random.Random(11)
+    graphs = [random_graph(rng, rng.randrange(2, 60), 0.08) for _ in range(30)]
+    graphs += [
+        generate_ba(BaConfig(n=400, m_attach=1, seed_size=1, rng_seed=s)) for s in range(5)
+    ]
+    ties = 0
+    for g in graphs:
+        deg = g.degrees
+        for u, nbrs in enumerate(g.adjacency):
+            expected = tuple(sorted(nbrs, key=lambda w: (-deg[w], w)))
+            assert g.neighbors_by_degree[u] == expected
+            ties += len({deg[w] for w in nbrs}) < len(nbrs)
+    assert ties > 100
 
 
 # --- bfs_distances ---

@@ -540,6 +540,13 @@ def found_trace(sequence, via):
     )
 
 
+def test_walk_node_list_two_hop_tail_takes_smallest_id():
+    # 0 and 9 share the common neighbours 3 and 5: the tail goes through 3.
+    g = build_graph([(0, 5), (0, 3), (5, 9), (3, 9)], 10)
+    assert walk_node_list(g, found_trace((0,), 0), 9) == (0, 3, 9)
+    assert shortest_path(g, 0, 9).nodes == (0, 3, 9)
+
+
 def test_walk_node_list_three_hop_tail_takes_smallest_ids():
     # Two 3-hop paths from 0 to 9, 0-2-3-9 and 0-1-4-9: walking back from
     # 9, node 3 is its smallest neighbor two hops from 0, and 2 the

@@ -1,6 +1,8 @@
 """Edge-list file loading, component filtering, and round-trips."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,8 @@ from degreesearch import (
     save_edge_list,
 )
 from degreesearch.topology import giant_component
+
+from helpers import reference_load_edge_list
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -160,6 +164,12 @@ def test_numeric_labels_sorted_by_value(tmp_path):
     assert list(idmap.internal_to_external) == ["1", "2", "10"]
 
 
+def test_labels_equal_in_value_ordered_by_string(tmp_path):
+    g, idmap = load_edge_list(write(tmp_path, "1 01\n01 +1\n"))
+    assert idmap.internal_to_external == ["+1", "01", "1"]
+    assert g.adjacency == ((1,), (0, 2), (1,))
+
+
 def test_load_insensitive_to_order_and_direction(tmp_path):
     g1, m1 = load_edge_list(write(tmp_path, "0 1\n1 2\n2 0\n", "a.txt"))
     g2, m2 = load_edge_list(write(tmp_path, "2 1\n0 2\n1 0\n", "b.txt"))
@@ -189,3 +199,93 @@ def test_round_trip_ba_graph(tmp_path):
     loaded, idmap = load_edge_list(path)
     assert loaded == g
     assert list(idmap.internal_to_external) == [str(i) for i in range(1000)]
+
+
+_SEPARATORS = (" ", "  ", "\t", "\u00a0", " \t ")
+
+
+def _messy_edge_file(rng):
+    """Edge-list text exercising every parsing rule."""
+    kind = rng.choice(["numeric", "string", "mixed", "equal-value"])
+    numeric = [str(i) for i in rng.sample(range(300), 30)]
+    strings = [rng.choice("abxyz") + str(i) for i in range(30)]
+    pool = {
+        "numeric": numeric,
+        "string": strings,
+        "mixed": numeric[:20] + strings[:10],
+        "equal-value": ["1", "01", "+1", "001", "2", "02", "-3", "-03"] + numeric[:12],
+    }[kind]
+    rng.shuffle(pool)
+    edges = []
+    while len(pool) >= 2:
+        comp = [pool.pop() for _ in range(min(len(pool), rng.choice([2, 3, 5, 8])))]
+        edges += [(comp[i], comp[rng.randrange(i)]) for i in range(1, len(comp))]
+        edges += [(rng.choice(comp), rng.choice(comp)) for _ in range(len(comp))]
+        if rng.random() < 0.5:
+            break
+    # Duplicates in both orientations.
+    edges += [rng.choice(edges)[:: rng.choice([1, -1])] for _ in range(len(edges) // 3)]
+    # A label seen only in a self-loop must not become a node; a string one
+    # would also switch a numeric file to string order.
+    edges.append(("lonely", "lonely"))
+    rng.shuffle(edges)
+
+    def pad():
+        return rng.choice(["", "", " ", "\t", "\u00a0"])
+
+    lines = [f"{pad()}{a}{rng.choice(_SEPARATORS)}{b}{pad()}" for a, b in edges]
+    for _ in range(rng.randrange(4)):
+        extra = rng.choice(["# c", "  # 1 2 3", "\t#x y", "\u00a0#", "#", "", "   ", "\u00a0"])
+        lines.insert(rng.randrange(len(lines) + 1), extra)
+    newline = rng.choice(["\n", "\r\n"])
+    text = newline.join(lines)
+    return text if rng.random() < 0.5 else text + newline
+
+
+def _load_outcome(load, path, take_giant_component):
+    try:
+        return load(path, take_giant_component)
+    except EdgeListError as exc:
+        return ("EdgeListError", exc.line_no)
+
+
+def test_load_matches_string_pair_reference(tmp_path):
+    seen = {"multi-component": 0, "error": 0, "equal-value": 0}
+    for seed in range(200):
+        rng = random.Random(seed)
+        text = _messy_edge_file(rng)
+        if rng.random() < 0.2:
+            lines = text.split("\n")
+            bad = rng.choice(["solo", "a b c", "1\u00a02\t3", "x # y"])
+            lines.insert(rng.randrange(len(lines) + 1), bad)
+            text = "\n".join(lines)
+        path = tmp_path / f"g{seed}.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for flag in (True, False):
+            got = _load_outcome(load_edge_list, path, flag)
+            assert got == _load_outcome(reference_load_edge_list, path, flag), (seed, flag)
+        if got[0] == "EdgeListError":
+            seen["error"] += 1
+            continue
+        _, idmap = got
+        assert "lonely" not in idmap.external_to_internal
+        seen["multi-component"] += load_edge_list(path) != got
+        seen["equal-value"] += "01" in idmap.external_to_internal
+    assert min(seen.values()) >= 5, seen
+
+
+def test_load_peak_memory_is_a_small_multiple_of_the_result(tmp_path):
+    # Holding every edge as a pair of label strings peaked at 7.2x the
+    # memory of the returned graph and map; integer edge IDs peak at 3.9x.
+    path = tmp_path / "ba.txt"
+    save_edge_list(generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5)), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_edge_list(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded[0].node_count == 20_000
+    assert (peak - base) < 5 * (retained - base), (peak - base, retained - base)
