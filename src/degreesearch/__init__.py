@@ -36,7 +36,7 @@ from .graphs import (
     pair_distance,
     shortest_path,
 )
-from .refine import RefinementResult, refine_route, refine_walk
+from .refine import RefinementResult, refine_route
 from .search import (
     SearchConfig,
     SearchOutcome,
@@ -44,7 +44,6 @@ from .search import (
     khop_contains,
     materialize_route,
     run_search,
-    walk_node_list,
 )
 from .topology import IdMap, load_edge_list, save_edge_list
 
@@ -82,12 +81,10 @@ __all__ = [
     "materialize_route",
     "pair_distance",
     "refine_route",
-    "refine_walk",
     "run_experiment",
     "run_search",
     "sample_pairs",
     "save_edge_list",
     "shortest_path",
-    "walk_node_list",
     "__version__",
 ]

@@ -10,12 +10,11 @@ source is reached.  The kept nodes form a much shorter simple path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import RouteError
 from .graphs import Graph, Route, _check_node
 
-__all__ = ["RefinementResult", "refine_route", "refine_walk"]
+__all__ = ["RefinementResult", "refine_route"]
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,26 @@ class RefinementResult:
     pivot_indices: tuple[int, ...]
 
 
-def _scan_refine(g: Graph, nodes: Sequence[int]) -> RefinementResult:
-    if len(nodes) == 1:
-        route = Route(tuple(nodes))
-        return RefinementResult(route, route, ())
+def refine_route(g: Graph, route: Route) -> RefinementResult:
+    """Shortcut a simple delivered route.
+
+    The result is again a simple path over the same endpoints, never
+    longer than the input, and refining it a second time changes nothing.
+
+    Raises:
+        RouteError: If ``route`` is empty, revisits a node, or has
+            non-adjacent consecutive nodes.
+    """
+    nodes = route.nodes
+    if not nodes:
+        raise RouteError("route has no nodes")
+    for node in nodes:
+        _check_node(g, node)
+    for a, b in zip(nodes, nodes[1:]):
+        if b not in g.neighbor_set(a):
+            raise RouteError(f"route nodes {a} and {b} are not adjacent")
+    if len(set(nodes)) != len(nodes):
+        raise RouteError("route revisits a node")
     pivots: list[int] = []
     current = len(nodes) - 1
     while current > 0:
@@ -49,45 +64,5 @@ def _scan_refine(g: Graph, nodes: Sequence[int]) -> RefinementResult:
         current = i
     refined = tuple(nodes[i] for i in reversed(pivots)) + (nodes[-1],)
     return RefinementResult(
-        original=Route(tuple(nodes)),
-        refined=Route(refined),
-        pivot_indices=tuple(pivots),
+        original=route, refined=Route(refined), pivot_indices=tuple(pivots)
     )
-
-
-def _check_walk(g: Graph, nodes: Sequence[int], require_simple: bool) -> None:
-    if not nodes:
-        raise RouteError("route has no nodes")
-    for node in nodes:
-        _check_node(g, node)
-    for a, b in zip(nodes, nodes[1:]):
-        if b not in g.neighbor_set(a):
-            raise RouteError(f"route nodes {a} and {b} are not adjacent")
-    if require_simple and len(set(nodes)) != len(nodes):
-        raise RouteError("route revisits a node")
-
-
-def refine_route(g: Graph, route: Route) -> RefinementResult:
-    """Shortcut a simple delivered route.
-
-    The result is again a simple path over the same endpoints, never
-    longer than the input, and refining it a second time changes nothing.
-
-    Raises:
-        RouteError: If ``route`` is empty, revisits a node, or has
-            non-adjacent consecutive nodes.
-    """
-    _check_walk(g, route.nodes, require_simple=True)
-    return _scan_refine(g, route.nodes)
-
-
-def refine_walk(g: Graph, nodes: Sequence[int]) -> RefinementResult:
-    """Shortcut a raw walk record, repeats allowed.
-
-    Same scan as ``refine_route`` applied to a node list that may revisit
-    nodes (e.g. a deflecting walk that was never loop-erased).  Scanning
-    from the front always lands on a repeated node's first occurrence, so
-    the refined route is still a simple path.
-    """
-    _check_walk(g, nodes, require_simple=False)
-    return _scan_refine(g, nodes)

@@ -42,7 +42,6 @@ __all__ = [
     "khop_contains",
     "run_search",
     "materialize_route",
-    "walk_node_list",
 ]
 
 
@@ -90,12 +89,19 @@ class WalkTrace:
 
     ``occupied_sequence`` lists every position the request held, in order;
     deflections re-append the node fallen back to, so consecutive entries
-    are always adjacent in the graph.  ``found_via`` is the node whose
-    knowledge located the target (the final position, or the consulted
-    neighbor that answered), ``None`` unless the outcome is ``FOUND``.
+    are always adjacent in the graph.  ``path`` is the loop erasure of
+    ``occupied_sequence``: scanning it, a node met again truncates the
+    partial path back to its first occurrence.  The walk holds exactly that
+    as its depth-first stack of entry points plus the final position,
+    because a forward only enters a node never occupied before and a
+    deflection falls back to the node's entry point, where the erasure
+    cuts.  ``found_via`` is the node whose knowledge located the target
+    (the final position, or the consulted neighbor that answered), ``None``
+    unless the outcome is ``FOUND``.
     """
 
     occupied_sequence: tuple[int, ...]
+    path: tuple[int, ...]
     forwards: int
     deflections: int
     consults: int
@@ -249,6 +255,7 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
 
     return WalkTrace(
         occupied_sequence=tuple(sequence),
+        path=(*entry_stack, current),
         forwards=forwards,
         deflections=deflections,
         consults=consults,
@@ -287,14 +294,18 @@ def _tail(g: Graph, via: int, target: int) -> list[int]:
     )
 
 
-def walk_node_list(g: Graph, trace: WalkTrace, target: int) -> tuple[int, ...]:
-    """Full delivered node list of a successful search, repeats included.
+def materialize_route(g: Graph, trace: WalkTrace, target: int) -> Route:
+    """Turn a successful trace into a simple source-to-target path.
 
-    The occupied sequence, extended through the consulted neighbor when
-    one answered, then along a shortest path to the target inside the
-    three-hop neighborhood the search saw.  Consecutive entries are
-    adjacent; nodes may repeat wherever the walk deflected or the tail
-    re-enters walked ground.
+    The trace's loop-erased walk (``WalkTrace.path``), extended through the
+    consulted neighbor when one answered, then along a shortest path to the
+    target inside the three-hop neighborhood the search saw.  An appended
+    node already on the route truncates it back to that node, so the
+    result is the loop erasure of the whole delivered walk.
+
+    Raises:
+        RouteError: If the trace did not find the target, or its
+            ``found_via`` is more than 3 hops from the target.
     """
     if trace.outcome is not SearchOutcome.FOUND:
         raise RouteError(
@@ -303,34 +314,12 @@ def walk_node_list(g: Graph, trace: WalkTrace, target: int) -> tuple[int, ...]:
     _check_node(g, target, "target")
     via = trace.found_via
     _check_node(g, via, "found_via")
-    nodes = list(trace.occupied_sequence)
-    if via != nodes[-1]:
-        # Found through a consulted neighbor: route detours over it.
-        nodes.append(via)
-    nodes.extend(_tail(g, via, target))
-    return tuple(nodes)
-
-
-def materialize_route(g: Graph, trace: WalkTrace, target: int) -> Route:
-    """Turn a successful trace into a simple source-to-target path.
-
-    The delivered node list (see ``walk_node_list``) is loop-erased: while
-    scanning it, meeting an already-collected node truncates the partial
-    route back to that node's first occurrence.
-
-    Raises:
-        RouteError: If the trace did not find the target.
-    """
-    full = walk_node_list(g, trace, target)
-    position: dict[int, int] = {}
-    out: list[int] = []
-    for node in full:
-        at = position.get(node)
-        if at is None:
-            position[node] = len(out)
-            out.append(node)
+    nodes = list(trace.path)
+    # Found through a consulted neighbor: the route detours over it.
+    leg = [via] if via != nodes[-1] else []
+    for node in leg + _tail(g, via, target):
+        if node in nodes:
+            del nodes[nodes.index(node) + 1 :]
         else:
-            for dropped in out[at + 1 :]:
-                del position[dropped]
-            del out[at + 1 :]
-    return Route(tuple(out))
+            nodes.append(node)
+    return Route(tuple(nodes))

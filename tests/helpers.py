@@ -32,6 +32,23 @@ def random_simple_path(rng, g, max_len=30):
     return nodes
 
 
+def loop_erase(nodes):
+    """The plain loop erasure of a walk: a node met again truncates the
+    partial path back to its first occurrence."""
+    position = {}
+    out = []
+    for node in nodes:
+        at = position.get(node)
+        if at is None:
+            position[node] = len(out)
+            out.append(node)
+        else:
+            for dropped in out[at + 1 :]:
+                del position[dropped]
+            del out[at + 1 :]
+    return tuple(out)
+
+
 def floyd_warshall(g):
     """Brute-force all-pairs distances; None where unreachable."""
     n = g.node_count

@@ -8,14 +8,9 @@ from degreesearch import (
     NodeIdError,
     Route,
     RouteError,
-    SearchConfig,
-    SearchOutcome,
     build_graph,
     pair_distance,
     refine_route,
-    refine_walk,
-    run_search,
-    walk_node_list,
 )
 
 from helpers import random_graph, random_simple_path
@@ -76,17 +71,6 @@ def test_rejects_bad_routes():
         refine_route(g, Route((0, 9)))
 
 
-def test_refine_walk_allows_and_removes_repeats():
-    result = refine_walk(path(3), (0, 1, 0, 1, 2))
-    assert result.refined.nodes == (0, 1, 2)
-    assert result.pivot_indices == (1, 0)
-
-
-def test_refine_walk_still_rejects_non_adjacent():
-    with pytest.raises(RouteError):
-        refine_walk(path(3), (0, 2, 0))
-
-
 def test_random_routes_properties():
     for seed in range(60):
         rng = random.Random(seed)
@@ -107,27 +91,6 @@ def test_random_routes_properties():
             assert result.pivot_indices[-1] == 0
         again = refine_route(g, result.refined)
         assert again.refined == result.refined
-
-
-def test_refine_raw_search_walks():
-    # Deflecting walks revisit nodes; the scan must still produce a
-    # simple path between the walk's endpoints.
-    for seed in range(30):
-        rng = random.Random(700 + seed)
-        n = rng.randrange(3, 50)
-        g = random_graph(rng, n, 0.07, ensure_connected=True)
-        s, t = rng.randrange(n), rng.randrange(n)
-        trace = run_search(
-            g, s, t, SearchConfig(visibility_h=1, step_cap=4 * n, rng_seed=seed)
-        )
-        assert trace.outcome is SearchOutcome.FOUND
-        walk = walk_node_list(g, trace, t)
-        result = refine_walk(g, walk)
-        refined = result.refined.nodes
-        assert refined[0] == s and refined[-1] == t
-        assert len(set(refined)) == len(refined)
-        assert result.refined.length <= len(walk) - 1
-        assert result.refined.length >= pair_distance(g, s, t)
 
 
 class RecordingGraph:

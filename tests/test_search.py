@@ -20,10 +20,9 @@ from degreesearch import (
     pair_distance,
     run_search,
     shortest_path,
-    walk_node_list,
 )
 
-from helpers import random_graph
+from helpers import loop_erase, random_graph
 
 
 # Every (visibility_h, consult_budget_c) walk configuration the harness runs.
@@ -41,10 +40,12 @@ def replay(g, s, t, cfg, trace):
     nodes were occupied (the random tie choices); everything else, the
     forward-or-deflect decision, degree maximality, deflection targets,
     the first-hit rule, every consultation and the final outcome
-    condition, is recomputed from scratch with ``khop_contains``.
+    condition, is recomputed from scratch with ``khop_contains``.  The
+    carried ``path`` must be the plain loop erasure of the walk.
     """
     seq = trace.occupied_sequence
     assert seq[0] == s
+    assert trace.path == loop_erase(seq)
     assert len(seq) == trace.walk_steps + 1
     h = cfg.visibility_h
     cap = cfg.step_cap if cfg.step_cap is not None else g.node_count
@@ -455,6 +456,7 @@ def test_materialize_truncates_at_first_target_occurrence():
     g = build_graph([(0, 1), (1, 2), (2, 3)], 4)
     trace = WalkTrace(
         occupied_sequence=(0, 1, 2, 3),
+        path=(0, 1, 2, 3),
         forwards=3,
         deflections=0,
         consults=0,
@@ -494,7 +496,7 @@ def test_materialized_routes_are_valid_and_bounded_below():
         assert route.length >= pair_distance(g, s, t)
 
 
-# --- walk_node_list tails against the shortest_path oracle ---
+# --- delivered-route tails against the shortest_path oracle ---
 
 
 def test_walk_node_list_tail_matches_shortest_path():
@@ -517,21 +519,23 @@ def test_walk_node_list_tail_matches_shortest_path():
                 if trace.outcome is not SearchOutcome.FOUND:
                     continue
                 via = trace.found_via
-                expected = list(trace.occupied_sequence)
-                if via != expected[-1]:
-                    expected.append(via)
+                walk = list(trace.occupied_sequence)
+                if via != walk[-1]:
+                    walk.append(via)
                     consult_found += 1
                 oracle = shortest_path(g, via, t).nodes
-                expected.extend(oracle[1:])
-                assert walk_node_list(g, trace, t) == tuple(expected)
+                expected = loop_erase(walk + list(oracle[1:]))
+                assert materialize_route(g, trace, t).nodes == expected
                 tail_lengths.add(len(oracle) - 1)
     assert tail_lengths == {0, 1, 2, 3}
     assert consult_found > 0
 
 
 def found_trace(sequence, via):
+    # A walk without deflections: its loop erasure is the walk itself.
     return WalkTrace(
         occupied_sequence=sequence,
+        path=sequence,
         forwards=len(sequence) - 1,
         deflections=0,
         consults=0,
@@ -543,7 +547,7 @@ def found_trace(sequence, via):
 def test_walk_node_list_two_hop_tail_takes_smallest_id():
     # 0 and 9 share the common neighbours 3 and 5: the tail goes through 3.
     g = build_graph([(0, 5), (0, 3), (5, 9), (3, 9)], 10)
-    assert walk_node_list(g, found_trace((0,), 0), 9) == (0, 3, 9)
+    assert materialize_route(g, found_trace((0,), 0), 9).nodes == (0, 3, 9)
     assert shortest_path(g, 0, 9).nodes == (0, 3, 9)
 
 
@@ -552,14 +556,14 @@ def test_walk_node_list_three_hop_tail_takes_smallest_ids():
     # 9, node 3 is its smallest neighbor two hops from 0, and 2 the
     # smallest neighbor of 3 adjacent to 0.
     g = build_graph([(0, 1), (0, 2), (1, 4), (2, 3), (3, 9), (4, 9)], 10)
-    assert walk_node_list(g, found_trace((0,), 0), 9) == (0, 2, 3, 9)
+    assert materialize_route(g, found_trace((0,), 0), 9).nodes == (0, 2, 3, 9)
     assert shortest_path(g, 0, 9).nodes == (0, 2, 3, 9)
 
 
 def test_walk_node_list_rejects_via_four_hops_from_target():
     g = build_graph([(i, i + 1) for i in range(4)], 5)
     with pytest.raises(RouteError):
-        walk_node_list(g, found_trace((0,), 0), 4)
+        materialize_route(g, found_trace((0,), 0), 4)
     with pytest.raises(RouteError):
         materialize_route(g, found_trace((1, 0), 0), 4)
 
@@ -567,4 +571,4 @@ def test_walk_node_list_rejects_via_four_hops_from_target():
 def test_walk_node_list_rejects_via_in_other_component():
     g = build_graph([(0, 1), (2, 3)], 4)
     with pytest.raises(RouteError):
-        walk_node_list(g, found_trace((0, 1), 1), 3)
+        materialize_route(g, found_trace((0, 1), 1), 3)
