@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -39,20 +41,6 @@ _MASK64 = (1 << 64) - 1
 _STREAM_PAIRS = 1
 _STREAM_SEARCH = 2
 _CHUNK_PAIRS = 50
-
-_CSV_COLUMNS = (
-    "round",
-    "pair_index",
-    "s",
-    "t",
-    "variant",
-    "outcome",
-    "walk_steps",
-    "route_length",
-    "refined_length",
-    "consults",
-    "oracle_distance",
-)
 
 
 def _mix64(x: int) -> int:
@@ -129,7 +117,10 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class SearchRecord:
-    """One row of raw experiment output."""
+    """One row of raw experiment output.
+
+    The field order is the column order of ``searches.csv``.
+    """
 
     round: int
     pair_index: int
@@ -170,7 +161,6 @@ class ExperimentSummary:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    plan: ExperimentPlan
     summaries: tuple[ExperimentSummary, ...]
     records: tuple[SearchRecord, ...]
 
@@ -279,20 +269,22 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
         pairs = sample_pairs(g, plan.pairs_per_round, pair_seed)
         for base in range(0, len(pairs), _CHUNK_PAIRS):
             tasks.append((round_index, base, pairs[base : base + _CHUNK_PAIRS]))
-    if plan.workers == 1:
+    # The pool starts all its processes up front, so start none without work.
+    workers = min(plan.workers, len(tasks))
+    if workers == 1:
         chunks = [
             _run_chunk(g, plan.variants, plan.master_seed, *task) for task in tasks
         ]
     else:
         with ProcessPoolExecutor(
-            max_workers=plan.workers,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(g, plan.variants, plan.master_seed),
         ) as pool:
             chunks = list(pool.map(_run_chunk_in_worker, tasks))
     records = tuple(record for chunk in chunks for record in chunk)
     summaries = _summarize(plan.variants, records)
-    return ExperimentResult(plan=plan, summaries=summaries, records=records)
+    return ExperimentResult(summaries=summaries, records=records)
 
 
 def _mean(values) -> float | None:
@@ -313,9 +305,7 @@ def _summarize(
         rows = grouped[var.label]
         found = [r for r in rows if r.outcome == SearchOutcome.FOUND.value]
         refined = [r.refined_length for r in found if r.refined_length is not None]
-        histogram: dict[int, int] = {}
-        for r in found:
-            histogram[r.walk_steps] = histogram.get(r.walk_steps, 0) + 1
+        histogram = Counter(r.walk_steps for r in found)
         summaries.append(
             ExperimentSummary(
                 variant=var.label,
@@ -339,6 +329,14 @@ def _summarize(
     return tuple(summaries)
 
 
+def _write_csv(path, header, rows) -> None:
+    # The one CSV dialect of every output; ``csv`` writes None as an empty cell.
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def emit_csv(
     summaries: tuple[ExperimentSummary, ...],
     records: tuple[SearchRecord, ...],
@@ -347,28 +345,11 @@ def emit_csv(
 ) -> None:
     """Write per-search rows as CSV and per-variant summaries as JSON.
 
-    Output is byte-identical for identical inputs: fixed column order,
-    LF newlines, empty cells for absent values.
+    Output is byte-identical for identical inputs: ``SearchRecord``'s
+    fields as the columns, LF newlines, empty cells for absent values.
     """
-    with open(records_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.round,
-                    r.pair_index,
-                    r.s,
-                    r.t,
-                    r.variant,
-                    r.outcome,
-                    r.walk_steps,
-                    "" if r.route_length is None else r.route_length,
-                    "" if r.refined_length is None else r.refined_length,
-                    r.consults,
-                    "" if r.oracle_distance is None else r.oracle_distance,
-                ]
-            )
+    columns = [f.name for f in fields(SearchRecord)]
+    _write_csv(records_path, columns, map(operator.attrgetter(*columns), records))
     payload = [asdict(s) for s in summaries]
     with open(summary_path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2)
@@ -385,20 +366,16 @@ def emit_histogram(
     """
     if bin_width < 1:
         raise ConfigError(f"bin_width must be >= 1, got {bin_width}")
-    variant_order: list[str] = []
-    bins: dict[str, dict[int, int]] = {}
+    # Variants in order of first appearance, each with its own bins.
+    bins: dict[str, Counter[int]] = {}
     for r in records:
         if r.variant not in bins:
-            variant_order.append(r.variant)
-            bins[r.variant] = {}
-        if r.outcome != SearchOutcome.FOUND.value:
-            continue
-        lower = (r.walk_steps // bin_width) * bin_width
-        per = bins[r.variant]
-        per[lower] = per.get(lower, 0) + 1
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["variant", "bin_lower_bound", "count"])
-        for variant in variant_order:
-            for lower in sorted(bins[variant]):
-                writer.writerow([variant, lower, bins[variant][lower]])
+            bins[r.variant] = Counter()
+        if r.outcome == SearchOutcome.FOUND.value:
+            bins[r.variant][(r.walk_steps // bin_width) * bin_width] += 1
+    rows = (
+        (variant, lower, count)
+        for variant, per in bins.items()
+        for lower, count in sorted(per.items())
+    )
+    _write_csv(path, ("variant", "bin_lower_bound", "count"), rows)

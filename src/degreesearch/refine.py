@@ -19,16 +19,10 @@ __all__ = ["RefinementResult", "refine_route"]
 
 @dataclass(frozen=True)
 class RefinementResult:
-    """Outcome of refining one route.
-
-    ``pivot_indices`` are the positions kept from the original node list,
-    in the order they were chosen (strictly decreasing, ending at 0); the
-    refined route is those nodes in index order plus the final node.
-    """
+    """Outcome of refining one route: the input and its shortcut."""
 
     original: Route
     refined: Route
-    pivot_indices: tuple[int, ...]
 
 
 def refine_route(g: Graph, route: Route) -> RefinementResult:
@@ -51,7 +45,7 @@ def refine_route(g: Graph, route: Route) -> RefinementResult:
             raise RouteError(f"route nodes {a} and {b} are not adjacent")
     if len(set(nodes)) != len(nodes):
         raise RouteError("route revisits a node")
-    pivots: list[int] = []
+    kept = [nodes[-1]]
     current = len(nodes) - 1
     while current > 0:
         adjacent = g.neighbor_set(nodes[current])
@@ -60,9 +54,6 @@ def refine_route(g: Graph, route: Route) -> RefinementResult:
         for i in range(current):
             if nodes[i] in adjacent:
                 break
-        pivots.append(i)
+        kept.append(nodes[i])
         current = i
-    refined = tuple(nodes[i] for i in reversed(pivots)) + (nodes[-1],)
-    return RefinementResult(
-        original=route, refined=Route(refined), pivot_indices=tuple(pivots)
-    )
+    return RefinementResult(original=route, refined=Route(tuple(reversed(kept))))

@@ -49,6 +49,14 @@ def loop_erase(nodes):
     return tuple(out)
 
 
+def pivot_indices(result):
+    """Positions in ``result.original`` of the refined route's nodes but the
+    last, from the target back: the order refinement picks them, which is
+    descending when it only ever jumps backwards."""
+    position = {node: i for i, node in enumerate(result.original.nodes)}
+    return tuple(position[node] for node in reversed(result.refined.nodes[:-1]))
+
+
 def floyd_warshall(g):
     """Brute-force all-pairs distances; None where unreachable."""
     n = g.node_count

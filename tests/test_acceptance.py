@@ -33,7 +33,7 @@ from degreesearch import (
     shortest_path,
 )
 
-from helpers import floyd_warshall, random_graph, random_simple_path
+from helpers import floyd_warshall, pivot_indices, random_graph, random_simple_path
 
 NODES = 10_000
 M_ATTACH = 3
@@ -196,11 +196,9 @@ def test_criterion_5b_refinement_properties():
             assert result.refined.length <= result.original.length
             assert result.refined.length >= pair_distance(g, nodes[0], nodes[-1])
             if len(nodes) > 1:
-                assert result.pivot_indices[-1] == 0
-                assert all(
-                    a > b
-                    for a, b in zip(result.pivot_indices, result.pivot_indices[1:])
-                )
+                pivots = pivot_indices(result)
+                assert pivots[-1] == 0
+                assert all(a > b for a, b in zip(pivots, pivots[1:]))
             assert refine_route(g, result.refined).refined == result.refined
             instances += 1
     _report(

@@ -1,6 +1,7 @@
 """Experiment pipeline: pairing, aggregation, emission, reproducibility."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import random
@@ -16,6 +17,7 @@ from degreesearch import (
     VariantSpec,
     emit_csv,
     emit_histogram,
+    experiment,
     generate_ba,
     run_experiment,
     sample_pairs,
@@ -139,8 +141,9 @@ def test_adjacent_pair_plan():
 
 
 def test_variants_share_pairs_and_records_are_ordered():
-    result = run_experiment(small_plan())
-    labels = [v.label for v in result.plan.variants]
+    plan = small_plan()
+    result = run_experiment(plan)
+    labels = [v.label for v in plan.variants]
     expected_keys = []
     for rnd in range(3):
         for pair in range(25):
@@ -246,13 +249,13 @@ def test_emit_none_fields_serialize_as_blank_and_null(tmp_path):
 
 
 def test_histogram_binning(tmp_path):
-    def rec(steps, outcome="found"):
+    def rec(steps, outcome="found", variant="h2"):
         return SearchRecord(
             round=0,
             pair_index=steps,
             s=0,
             t=1,
-            variant="h2",
+            variant=variant,
             outcome=outcome,
             walk_steps=steps,
             route_length=None,
@@ -265,6 +268,20 @@ def test_histogram_binning(tmp_path):
     emit_histogram(records, 10, tmp_path / "h.csv")
     text = (tmp_path / "h.csv").read_text(encoding="utf-8")
     assert text == "variant,bin_lower_bound,count\nh2,0,3\nh2,10,1\n"
+
+    # Variants come out in first-appearance order, not sorted; one with no
+    # successful search emits no rows.
+    records = (
+        rec(3, variant="h3"),
+        rec(1, variant="h1"),
+        rec(50, "step_cap_exhausted", variant="h2"),
+        rec(14, variant="h3"),
+        rec(2, variant="h1"),
+        rec(7, variant="h3"),
+    )
+    emit_histogram(records, 10, tmp_path / "h.csv")
+    text = (tmp_path / "h.csv").read_text(encoding="utf-8")
+    assert text == "variant,bin_lower_bound,count\nh3,0,2\nh3,10,1\nh1,0,2\n"
 
 
 def test_histogram_single_bin_and_validation(tmp_path):
@@ -326,6 +343,35 @@ def test_worker_count_does_not_change_output(tmp_path):
     emit_csv(r1.summaries, r1.records, tmp_path / "w1.csv", tmp_path / "w1.json")
     emit_csv(r2.summaries, r2.records, tmp_path / "w2.csv", tmp_path / "w2.json")
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # An in-process stand-in for the pool: a real one forks every worker
+    # up front, whether or not a chunk is left for it.
+    built = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            built.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(experiment, "_WORKER_STATE", None)
+    run_experiment(small_plan(pairs_per_round=25, rounds=1, workers=8))
+    assert built == []
+    plan = small_plan(pairs_per_round=50, rounds=3, workers=8)
+    records = run_experiment(plan).records
+    assert built == [3]
+    assert records == run_experiment(dataclasses.replace(plan, workers=1)).records
 
 
 def test_master_seed_changes_pairs():
