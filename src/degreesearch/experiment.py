@@ -207,13 +207,14 @@ def _run_chunk(
     for offset, (s, t) in enumerate(pairs):
         pair_index = base_index + offset
         oracle = pair_distance(g, s, t)
+        # Each variant's seed is _derive_seed(..., pair_index, vi); fold the pair's part once.
+        prefix = _derive_seed(master_seed, _STREAM_SEARCH, round_index, pair_index)
         for vi, var in enumerate(variants):
-            seed = _derive_seed(master_seed, _STREAM_SEARCH, round_index, pair_index, vi)
             cfg = SearchConfig(
                 visibility_h=var.visibility_h,
                 consult_budget_c=var.consult_budget_c,
                 step_cap=var.step_cap,
-                rng_seed=seed,
+                rng_seed=_mix64(prefix ^ vi),
             )
             trace = run_search(g, s, t, cfg)
             route_length: int | None = None

@@ -8,6 +8,7 @@ sorted adjacency tuple per node.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -139,16 +140,21 @@ def build_graph(edges: Iterable[Sequence[int]], node_count: int) -> Graph:
     """
     if node_count < 0:
         raise ConfigError(f"node_count must be >= 0, got {node_count}")
-    neighbor_sets: list[set[int]] = [set() for _ in range(node_count)]
-    for edge in edges:
-        u, v = edge
+    # Lists, not sets: a set per node would set the peak memory of loading.
+    rows: list[list[int]] = [[] for _ in range(node_count)]
+    for u, v in edges:
         if not (0 <= u < node_count and 0 <= v < node_count):
             raise EdgeError((u, v), node_count)
-        if u == v:
-            continue
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
+        if u != v:
+            rows[u].append(v)
+            rows[v].append(u)
+    for row in rows:
+        row.sort()
+    # A repeated edge leaves equal neighbors side by side in a sorted row.
+    adjacency = tuple(
+        tuple(dict.fromkeys(row)) if any(map(operator.eq, row, row[1:])) else tuple(row)
+        for row in rows
+    )
     return Graph(node_count=node_count, adjacency=adjacency)
 
 

@@ -127,22 +127,10 @@ def khop_contains(g: Graph, center: int, target: int, h: int) -> bool:
     return d is not None and d <= h
 
 
-def _ball(g: Graph, center: int, h: int) -> set[int]:
-    """All nodes within ``h`` hops of ``center``, including it."""
-    adjacency = g.adjacency
-    ball = {center}
-    frontier = [center]
-    for _ in range(h):
-        nxt: list[int] = []
-        for u in frontier:
-            for v in adjacency[u]:
-                if v not in ball:
-                    ball.add(v)
-                    nxt.append(v)
-        if not nxt:
-            break
-        frontier = nxt
-    return ball
+# A walk that has asked this many 2- or 3-hop questions builds the target's
+# radius-2 ball once: on a graph larger than the CPU caches, each lookup in a
+# new node's neighbor set misses them, while the ball answers from cache.
+_QUERIES_BEFORE_BALL = 64
 
 
 def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTrace:
@@ -164,40 +152,56 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
     h = cfg.visibility_h
     budget = cfg.consult_budget_c
     step_cap = cfg.step_cap if cfg.step_cap is not None else g.node_count
-    rng = random.Random(cfg.rng_seed)
+    rng: random.Random | None = None  # built at the first tie, few walks meet one
 
     degrees = g.degrees
     ranked = g.neighbors_by_degree
     neighbor_sets = g.neighbor_sets
-    # The walk only ever needs "is the target within h hops of here".
-    # Distance is symmetric, so precompute the target's ball once: radius
-    # h for h <= 2, and for h = 3 the radius-2 ball plus one adjacency
-    # probe per arrival (the radius-3 ball itself can cover most of a
-    # scale-free graph, the probe is far cheaper).
-    ball = _ball(g, target, min(h, 2))
+    # "Is the target within h hops of x" from neighbor-set lookups.  One
+    # hop is ``x in near``: x can only be the target itself at the source,
+    # since any other walk enters it from a neighbor, which sees it first.
+    near = neighbor_sets[target]
+    ball, queries = None, 0
+
+    def sees(x: int) -> bool:
+        # Two hops, and for h = 3 three: the caller tests one hop first.
+        nonlocal ball, queries
+        if ball is not None:
+            return x in ball or (h == 3 and not ball.isdisjoint(neighbor_sets[x]))
+        queries += 1
+        if queries == _QUERIES_BEFORE_BALL:
+            ball = near.union(*map(neighbor_sets.__getitem__, near))
+        around = neighbor_sets[x]
+        if not near.isdisjoint(around):
+            return True
+        if h == 2:
+            return False
+        small, large = (near, around) if len(near) <= len(around) else (around, near)
+        return any(not neighbor_sets[b].isdisjoint(large) for b in small)
 
     occupied = {source}
     sequence = [source]
+    # The DFS stack of entry points and the scan positions they resume at;
+    # ``i`` is the current node's.  Occupation is permanent, so it only grows.
     entry_stack: list[int] = []
-    scan_from: dict[int, int] = {}
+    scan_stack: list[int] = []
+    i = 0
     consulted: set[int] = {source}
     forwards = 0
     deflections = 0
     consults = 0
-    found_via: int | None = None
-    outcome: SearchOutcome | None = None
+    found_via: int | None = source if source == target else None
+    outcome = SearchOutcome.FOUND  # unless a failure below says otherwise
     current = source
 
-    while True:
+    while found_via is None:
         # (0) arrival check
-        if current in ball or (h == 3 and not ball.isdisjoint(neighbor_sets[current])):
-            outcome = SearchOutcome.FOUND
+        if current in near or (h > 1 and sees(current)):
             found_via = current
             break
         # (0b) consultation, highest degree first, never the same node twice
         if budget:
             asked = 0
-            positive: int | None = None
             for w in ranked[current]:
                 if asked == budget:
                     break
@@ -206,25 +210,19 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
                 consulted.add(w)
                 consults += 1
                 asked += 1
-                if w in ball:
-                    positive = w
+                if w in near or sees(w):
+                    found_via = w
                     break
-            if positive is not None:
-                outcome = SearchOutcome.FOUND
-                found_via = positive
+            if found_via is not None:
                 break
         if forwards + deflections >= step_cap:
             outcome = SearchOutcome.STEP_CAP_EXHAUSTED
             break
         # (1) forward: highest-degree neighbor never occupied before.
-        # Occupation is permanent within a run, so each node's scan
-        # position only ever moves right.
         nbrs = ranked[current]
         n = len(nbrs)
-        i = scan_from.get(current, 0)
         while i < n and nbrs[i] in occupied:
             i += 1
-        scan_from[current] = i
         if i < n:
             best = nbrs[i]
             top = degrees[best]
@@ -237,12 +235,16 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
                 if w not in occupied:
                     tied.append(w)
                 j += 1
-            chosen = tied[0] if len(tied) == 1 else tied[rng.randrange(len(tied))]
+            if len(tied) > 1:
+                rng = rng or random.Random(cfg.rng_seed)
+                best = tied[rng.randrange(len(tied))]
             entry_stack.append(current)
-            current = chosen
-            occupied.add(chosen)
-            consulted.add(chosen)
-            sequence.append(chosen)
+            scan_stack.append(i)
+            i = 0
+            current = best
+            occupied.add(best)
+            consulted.add(best)
+            sequence.append(best)
             forwards += 1
         else:
             # (2) deflect to the node this one was first entered from
@@ -250,6 +252,7 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
                 outcome = SearchOutcome.STUCK_AT_SOURCE
                 break
             current = entry_stack.pop()
+            i = scan_stack.pop()
             sequence.append(current)
             deflections += 1
 

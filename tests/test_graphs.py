@@ -56,6 +56,11 @@ def test_build_rejects_out_of_range_edge():
     assert exc.value.edge == (0, 5)
     with pytest.raises(EdgeError):
         build_graph([(-1, 0)], 3)
+    # The first bad edge in iteration order, even a self-loop or one that
+    # repeats an edge already seen.
+    with pytest.raises(EdgeError) as exc:
+        build_graph([(0, 1), (1, 1), (1, 0), (4, 4), (2, 9)], 3)
+    assert exc.value.edge == (4, 4)
 
 
 def test_build_rejects_negative_node_count():

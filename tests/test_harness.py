@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -372,6 +373,50 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     records = run_experiment(plan).records
     assert built == [3]
     assert records == run_experiment(dataclasses.replace(plan, workers=1)).records
+
+
+def test_walk_layers_are_called_by_module_level_name(monkeypatch):
+    # perfbench attributes time to each layer by wrapping these names in
+    # ``experiment``; a walk that bypassed them would go unmeasured.
+    calls = Counter()
+
+    def count(name):
+        inner = getattr(experiment, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, counted)
+
+    for name in ("pair_distance", "run_search", "materialize_route", "refine_route"):
+        count(name)
+    plan = small_plan(workers=1)
+    records = run_experiment(plan).records
+    pairs = plan.pairs_per_round * plan.rounds
+    found = [r for r in records if r.outcome == "found"]
+    refine_labels = {v.label for v in plan.variants if v.refine}
+    refined = [r for r in found if r.variant in refine_labels]
+    assert refined
+    assert calls == {
+        "pair_distance": pairs,
+        "run_search": pairs * len(plan.variants),
+        "materialize_route": len(found),
+        "refine_route": len(refined),
+    }
+
+
+def test_per_pair_seed_prefix_matches_the_full_fold():
+    rng = random.Random(21)
+    masters = [0, 1, -1, 2**63 - 1, -(2**63), 2**64 - 1, 2**64 + 7, -(2**70)]
+    masters += [rng.getrandbits(64) - 2**63 for _ in range(40)]
+    for master in masters:
+        for stream in (1, 2):
+            r, p = rng.randrange(100), rng.randrange(10**6)
+            prefix = experiment._derive_seed(master, stream, r, p)
+            for vi in range(9):
+                full = experiment._derive_seed(master, stream, r, p, vi)
+                assert experiment._mix64(prefix ^ vi) == full
 
 
 def test_master_seed_changes_pairs():

@@ -22,6 +22,8 @@ from degreesearch import (
     shortest_path,
 )
 
+from degreesearch import search
+from degreesearch.graphs import components
 from helpers import loop_erase, random_graph
 
 
@@ -339,6 +341,73 @@ def test_replay_ba_graphs_all_walk_configs():
                         visibility_h=h, consult_budget_c=c, step_cap=step_cap, rng_seed=seed
                     )
                     replay(g, s, t, cfg, run_search(g, s, t, cfg))
+
+
+@pytest.mark.parametrize("ball_after", [None, 1])
+def test_replay_visibility_extremes(monkeypatch, ball_after):
+    # Where the walk's neighbor-set visibility checks differ most from a
+    # ball around the target: hubs as targets and sources, degree-1
+    # targets, targets that are isolated or in a small component, and walks
+    # long enough to switch to the target's ball, under every walk
+    # configuration; and once more with the ball from the second query on.
+    if ball_after is not None:
+        monkeypatch.setattr(search, "_QUERIES_BEFORE_BALL", ball_after)
+    cases = []
+    for m in (1, 2, 3):
+        ba = generate_ba(BaConfig(n=120, m_attach=m, seed_size=3, rng_seed=m))
+        n = ba.node_count
+        hubs = sorted(range(n), key=lambda u: (-ba.degree(u), u))[:5]
+        # Pendants on two hubs, and a 70-node path from a low-degree node,
+        # give degree-1 targets at every m and walks of 70 forced steps.
+        low = min(range(n), key=lambda u: (ba.degree(u), u))
+        far = n + 71
+        extra = [(hubs[0], n), (hubs[4], n + 1), (low, n + 2)]
+        extra += [(u, u + 1) for u in range(n + 2, far)]
+        g = build_graph([(u, v) for u in range(n) for v in ba.neighbors(u)] + extra, far + 1)
+        leaves = [u for u in range(g.node_count) if g.degree(u) == 1]
+        assert {n, n + 1, far} <= set(leaves)
+        for t in hubs + leaves[:4]:
+            for s in hubs[:2] + [low]:
+                cases.append((g, s, t))
+        cases += [(g, far, hubs[0]), (g, far, n), (g, hubs[0], far)]
+    rng = random.Random(90)
+    sparse = random_graph(rng, 70, 0.025)
+    by_size = {}
+    for component in components(sparse):
+        by_size.setdefault(len(component), []).append(component)
+    small = [u for size in sorted(by_size)[:3] for comp in by_size[size] for u in comp]
+    big = max(components(sparse), key=len)
+    assert sparse.degree(small[0]) == 0 and len(big) > 20
+    for t in small[:10]:
+        for s in big[:3] + small[:2]:
+            cases.append((sparse, s, t))
+    for seed, (g, s, t) in enumerate(cases):
+        for h, c in WALK_CONFIGS:
+            cfg = SearchConfig(visibility_h=h, consult_budget_c=c, rng_seed=seed)
+            replay(g, s, t, cfg, run_search(g, s, t, cfg))
+
+
+def test_rng_built_only_when_a_tie_is_broken(monkeypatch):
+    path = build_graph([(i, i + 1) for i in range(9)], 10)
+    # Star center 0 with four tied leaves and an unreachable target: the
+    # walk breaks a tie on each of its first three departures from 0.
+    star = build_graph([(0, i) for i in range(1, 5)], 6)
+    cfg = SearchConfig(visibility_h=1, step_cap=20, rng_seed=11)
+    expected = run_search(star, 0, 5, cfg)
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    trace = run_search(path, 0, 9, SearchConfig(visibility_h=1, rng_seed=3))
+    assert trace.outcome is SearchOutcome.FOUND and trace.forwards == 8
+    assert built == []
+    trace = run_search(star, 0, 5, cfg)
+    assert trace == expected and trace.outcome is SearchOutcome.STUCK_AT_SOURCE
+    assert built == [(11,)]
 
 
 # --- determinism and ordering properties ---
