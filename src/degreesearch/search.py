@@ -127,12 +127,6 @@ def khop_contains(g: Graph, center: int, target: int, h: int) -> bool:
     return d is not None and d <= h
 
 
-# A walk that has asked this many 2- or 3-hop questions builds the target's
-# radius-2 ball once: on a graph larger than the CPU caches, each lookup in a
-# new node's neighbor set misses them, while the ball answers from cache.
-_QUERIES_BEFORE_BALL = 64
-
-
 def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTrace:
     """Run one decentralized search and return its full trace.
 
@@ -161,16 +155,9 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
     # hop is ``x in near``: x can only be the target itself at the source,
     # since any other walk enters it from a neighbor, which sees it first.
     near = neighbor_sets[target]
-    ball, queries = None, 0
 
     def sees(x: int) -> bool:
         # Two hops, and for h = 3 three: the caller tests one hop first.
-        nonlocal ball, queries
-        if ball is not None:
-            return x in ball or (h == 3 and not ball.isdisjoint(neighbor_sets[x]))
-        queries += 1
-        if queries == _QUERIES_BEFORE_BALL:
-            ball = near.union(*map(neighbor_sets.__getitem__, near))
         around = neighbor_sets[x]
         if not near.isdisjoint(around):
             return True

@@ -22,7 +22,6 @@ from degreesearch import (
     shortest_path,
 )
 
-from degreesearch import search
 from degreesearch.graphs import components
 from helpers import loop_erase, random_graph
 
@@ -343,15 +342,11 @@ def test_replay_ba_graphs_all_walk_configs():
                     replay(g, s, t, cfg, run_search(g, s, t, cfg))
 
 
-@pytest.mark.parametrize("ball_after", [None, 1])
-def test_replay_visibility_extremes(monkeypatch, ball_after):
+def test_replay_visibility_extremes():
     # Where the walk's neighbor-set visibility checks differ most from a
     # ball around the target: hubs as targets and sources, degree-1
-    # targets, targets that are isolated or in a small component, and walks
-    # long enough to switch to the target's ball, under every walk
-    # configuration; and once more with the ball from the second query on.
-    if ball_after is not None:
-        monkeypatch.setattr(search, "_QUERIES_BEFORE_BALL", ball_after)
+    # targets, targets that are isolated or in a small component, and long
+    # walks, under every walk configuration.
     cases = []
     for m in (1, 2, 3):
         ba = generate_ba(BaConfig(n=120, m_attach=m, seed_size=3, rng_seed=m))
