@@ -2,7 +2,10 @@
 
 Everything downstream (generation, search, refinement, experiments) works
 against this representation: dense integer node IDs in ``[0, N)`` and a
-sorted adjacency tuple per node.
+sorted adjacency tuple per node.  A search reads the neighborhoods of the
+few nodes it passes through, so each node's neighbor set and degree
+ranking are built the first time something asks for them, never for the
+whole graph up front.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ class Graph:
         node_count: Number of nodes; IDs are exactly ``0 .. node_count - 1``.
         adjacency: Per-node tuple of neighbor IDs, sorted ascending.
             Symmetric, free of self-loops and duplicates.
+
+    ``neighbor_sets`` and ``neighbors_by_degree`` are per-node caches,
+    ``None`` until their node's entry is first asked for and filled by
+    ``_fill_neighbor_set`` / ``_fill_ranking``; hot loops read them as
+    ``cache[u] or fill(u)``.  Like ``degrees`` they are derived from the
+    two fields: equality and hashing ignore them, and a pickled copy
+    answers every lookup the same way whatever had been built.
     """
 
     node_count: int
@@ -54,18 +64,25 @@ class Graph:
         return sum(self.degrees) // 2
 
     @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(nbrs) for nbrs in self.adjacency)
+    def neighbor_sets(self) -> list[frozenset[int] | None]:
+        return [None] * self.node_count
 
     @cached_property
-    def neighbors_by_degree(self) -> tuple[tuple[int, ...], ...]:
+    def neighbors_by_degree(self) -> list[tuple[int, ...] | None]:
         """Neighbors of each node sorted by descending degree, ties by ID."""
+        return [None] * self.node_count
+
+    def _fill_neighbor_set(self, node: int) -> frozenset[int]:
+        nbrs = self.neighbor_sets[node] = frozenset(self.adjacency[node])
+        return nbrs
+
+    def _fill_ranking(self, node: int) -> tuple[int, ...]:
         # The sort is stable even when reversed, so equal degrees keep the
         # ascending ID order of the adjacency tuple.
-        by_degree = self.degrees.__getitem__
-        return tuple(
-            tuple(sorted(nbrs, key=by_degree, reverse=True)) for nbrs in self.adjacency
+        ranked = self.neighbors_by_degree[node] = tuple(
+            sorted(self.adjacency[node], key=self.degrees.__getitem__, reverse=True)
         )
+        return ranked
 
     def degree(self, node: int) -> int:
         _check_node(self, node)
@@ -77,12 +94,12 @@ class Graph:
 
     def neighbor_set(self, node: int) -> frozenset[int]:
         _check_node(self, node)
-        return self.neighbor_sets[node]
+        return self.neighbor_sets[node] or self._fill_neighbor_set(node)
 
     def has_edge(self, u: int, v: int) -> bool:
         _check_node(self, u)
         _check_node(self, v)
-        return v in self.neighbor_sets[u]
+        return v in (self.neighbor_sets[u] or self._fill_neighbor_set(u))
 
 
 @dataclass(frozen=True)

@@ -149,22 +149,23 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
     rng: random.Random | None = None  # built at the first tie, few walks meet one
 
     degrees = g.degrees
-    ranked = g.neighbors_by_degree
-    neighbor_sets = g.neighbor_sets
+    # Per-node caches, each entry built on first use: ``sets[x] or fill(x)``.
+    ranked, rank = g.neighbors_by_degree, g._fill_ranking
+    sets, fill = g.neighbor_sets, g._fill_neighbor_set
     # "Is the target within h hops of x" from neighbor-set lookups.  One
     # hop is ``x in near``: x can only be the target itself at the source,
     # since any other walk enters it from a neighbor, which sees it first.
-    near = neighbor_sets[target]
+    near = sets[target] or fill(target)
 
     def sees(x: int) -> bool:
         # Two hops, and for h = 3 three: the caller tests one hop first.
-        around = neighbor_sets[x]
+        around = sets[x] or fill(x)
         if not near.isdisjoint(around):
             return True
         if h == 2:
             return False
         small, large = (near, around) if len(near) <= len(around) else (around, near)
-        return any(not neighbor_sets[b].isdisjoint(large) for b in small)
+        return any(not (sets[b] or fill(b)).isdisjoint(large) for b in small)
 
     occupied = {source}
     sequence = [source]
@@ -186,10 +187,11 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
         if current in near or (h > 1 and sees(current)):
             found_via = current
             break
+        nbrs = ranked[current] or rank(current)
         # (0b) consultation, highest degree first, never the same node twice
         if budget:
             asked = 0
-            for w in ranked[current]:
+            for w in nbrs:
                 if asked == budget:
                     break
                 if w in consulted:
@@ -206,7 +208,6 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
             outcome = SearchOutcome.STEP_CAP_EXHAUSTED
             break
         # (1) forward: highest-degree neighbor never occupied before.
-        nbrs = ranked[current]
         n = len(nbrs)
         while i < n and nbrs[i] in occupied:
             i += 1
@@ -268,15 +269,15 @@ def _tail(g: Graph, via: int, target: int) -> list[int]:
     if via == target:
         return []
     adjacency = g.adjacency
-    neighbor_sets = g.neighbor_sets
-    near = neighbor_sets[via]
+    sets, fill = g.neighbor_sets, g._fill_neighbor_set
+    near = sets[via] or fill(via)
     if target in near:
         return [target]
     for m in adjacency[target]:
         if m in near:
             return [m, target]
     for b in adjacency[target]:
-        if not near.isdisjoint(neighbor_sets[b]):
+        if not near.isdisjoint(sets[b] or fill(b)):
             a = next(a for a in adjacency[b] if a in near)
             return [a, b, target]
     raise RouteError(

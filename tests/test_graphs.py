@@ -1,5 +1,6 @@
 """Graph construction, BFS oracles, and degree statistics."""
 
+import pickle
 import random
 
 import pytest
@@ -19,6 +20,10 @@ from degreesearch import (
 from degreesearch.graphs import _fit_exponent, components
 
 from helpers import check_graph_invariants, floyd_warshall, random_graph
+
+
+def built(cache):
+    return [u for u, entry in enumerate(cache) if entry is not None]
 
 
 def star5():
@@ -92,6 +97,9 @@ def test_has_edge_and_neighbor_set():
     g = star5()
     assert g.has_edge(0, 3) and g.has_edge(3, 0)
     assert not g.has_edge(1, 2)
+    # Each call builds only its first node's set.
+    assert built(g.neighbor_sets) == [0, 1, 3]
+    assert built(g.neighbors_by_degree) == []
     assert g.neighbor_set(0) == {1, 2, 3, 4}
     assert g.neighbor_set(2) == {0}
 
@@ -108,9 +116,63 @@ def test_neighbors_by_degree_matches_definition():
         deg = g.degrees
         for u, nbrs in enumerate(g.adjacency):
             expected = tuple(sorted(nbrs, key=lambda w: (-deg[w], w)))
-            assert g.neighbors_by_degree[u] == expected
+            assert (g.neighbors_by_degree[u] or g._fill_ranking(u)) == expected
             ties += len({deg[w] for w in nbrs}) < len(nbrs)
     assert ties > 100
+
+
+def test_views_fill_per_node_in_any_order():
+    # Each lookup builds its own node's entry and no other, by the plain
+    # definition, and later lookups return the cached entry.
+    rng = random.Random(12)
+    graphs = [random_graph(rng, rng.randrange(1, 60), rng.random() * 0.3) for _ in range(30)]
+    graphs += [
+        generate_ba(BaConfig(n=300, m_attach=1, seed_size=1, rng_seed=s)) for s in range(3)
+    ]
+    for g in graphs:
+        assert built(g.neighbor_sets) == built(g.neighbors_by_degree) == []
+        deg = g.degrees
+        order = list(range(g.node_count))
+        rng.shuffle(order)
+        for k, u in enumerate(order):
+            nbrs = g.adjacency[u]
+            assert g.neighbor_set(u) == frozenset(nbrs)
+            ranking = g.neighbors_by_degree[u] or g._fill_ranking(u)
+            assert ranking == tuple(sorted(nbrs, key=lambda w: (-deg[w], w)))
+            assert sorted(built(g.neighbor_sets)) == sorted(built(g.neighbors_by_degree))
+            assert sorted(built(g.neighbor_sets)) == sorted(order[: k + 1])
+            assert g.neighbor_set(u) is g.neighbor_sets[u]
+            assert g._fill_ranking(u) == g.neighbors_by_degree[u] == ranking
+
+
+def test_isolated_node_has_empty_views():
+    g = build_graph([(0, 1), (1, 3)], 4)
+    assert g.degrees[2] == 0
+    for _ in range(3):
+        assert g.neighbor_set(2) == frozenset()
+        assert (g.neighbors_by_degree[2] or g._fill_ranking(2)) == ()
+        for v in range(4):
+            assert not g.has_edge(2, v) and not g.has_edge(v, 2)
+    assert g.neighbor_sets[2] == frozenset() and g.neighbors_by_degree[2] == ()
+
+
+def test_pickle_keeps_partly_built_views_equivalent():
+    # A pool started with ``spawn`` pickles the graph with whatever views
+    # the parent has built; the copy must answer every lookup the same way.
+    g = generate_ba(BaConfig(n=200, m_attach=2, seed_size=3, rng_seed=4))
+    rng = random.Random(4)
+    for u in rng.sample(range(200), 40):
+        g.neighbor_set(u)
+    for u in rng.sample(range(200), 25):
+        g._fill_ranking(u)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and hash(copy) == hash(g)
+    fresh = build_graph([(u, v) for u in range(200) for v in g.adjacency[u]], 200)
+    assert fresh == g and hash(fresh) == hash(g)
+    for u in range(200):
+        assert copy.neighbor_set(u) == g.neighbor_set(u) == fresh.neighbor_set(u)
+        ranking = copy.neighbors_by_degree[u] or copy._fill_ranking(u)
+        assert ranking == g._fill_ranking(u) == fresh._fill_ranking(u)
 
 
 # --- bfs_distances ---

@@ -405,6 +405,22 @@ def test_rng_built_only_when_a_tie_is_broken(monkeypatch):
     assert built == [(11,)]
 
 
+def test_searches_build_views_only_where_they_look():
+    # The walk ranks only the nodes it occupies and builds neighbor sets
+    # only for nodes it checks, so few of a large graph's entries fill.
+    g = generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5))
+    rng = random.Random(5)
+    occupied = set()
+    for seed in range(50):
+        s, t = rng.randrange(g.node_count), rng.randrange(g.node_count)
+        cfg = SearchConfig(visibility_h=2, consult_budget_c=5, rng_seed=seed)
+        occupied.update(run_search(g, s, t, cfg).occupied_sequence)
+    ranked = {u for u, entry in enumerate(g.neighbors_by_degree) if entry is not None}
+    assert ranked and ranked <= occupied
+    sets = sum(entry is not None for entry in g.neighbor_sets)
+    assert len(ranked) <= sets < g.node_count // 10
+
+
 # --- determinism and ordering properties ---
 
 
