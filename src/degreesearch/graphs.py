@@ -259,51 +259,36 @@ def shortest_path(g: Graph, source: int, target: int) -> Route | None:
 def pair_distance(g: Graph, source: int, target: int) -> int | None:
     """Hop distance between two nodes via bidirectional BFS.
 
-    Equivalent to ``bfs_distances(g, source)[target]`` but expands two
-    half-depth balls instead of one full traversal, which is much cheaper
-    on small-world graphs.  ``None`` when the nodes are disconnected.
+    Equivalent to ``bfs_distances(g, source)[target]`` but grows a ball
+    around each end, one BFS level of the side with the smaller outer level
+    at a time, and stops at the first node the two balls share.  That is
+    much cheaper than one full traversal on small-world graphs.  ``None``
+    when the nodes are disconnected.
     """
     _check_node(g, source, "source")
     _check_node(g, target, "target")
     if source == target:
         return 0
     adjacency = g.adjacency
-    dist_s: dict[int, int] = {source: 0}
-    dist_t: dict[int, int] = {target: 0}
-    frontier_s = [source]
-    frontier_t = [target]
-    radius_s = radius_t = 0
-    while frontier_s and frontier_t:
-        # Expanding the smaller frontier keeps the explored volume balanced.
-        if len(frontier_s) <= len(frontier_t):
-            frontier, dist_near, dist_far = frontier_s, dist_s, dist_t
-            radius_s += 1
-            radius = radius_s
-        else:
-            frontier, dist_near, dist_far = frontier_t, dist_t, dist_s
-            radius_t += 1
-            radius = radius_t
+    ball, far_ball = {source}, {target}
+    level, far_level = [source], [target]
+    dist = 0
+    while level and far_level:
+        if len(level) > len(far_level):
+            ball, far_ball, level, far_level = far_ball, ball, far_level, level
+        dist += 1
         nxt: list[int] = []
-        best: int | None = None
-        for u in frontier:
+        for u in level:
             for v in adjacency[u]:
-                if v not in dist_near:
-                    dist_near[v] = radius
+                if v in far_ball:
+                    # The balls were disjoint until now, so the distance
+                    # exceeds the sum of their radii, dist - 1; v closes a
+                    # path of exactly dist hops.
+                    return dist
+                if v not in ball:
+                    ball.add(v)
                     nxt.append(v)
-                    other = dist_far.get(v)
-                    if other is not None:
-                        total = radius + other
-                        if best is None or total < best:
-                            best = total
-        if best is not None:
-            # The first level at which the balls touch realizes the
-            # true distance; any meeting node gives a valid path and the
-            # minimum over this level's meetings is exact.
-            return best
-        if frontier is frontier_s:
-            frontier_s = nxt
-        else:
-            frontier_t = nxt
+        level = nxt
     return None
 
 

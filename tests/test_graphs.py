@@ -9,6 +9,7 @@ from degreesearch import (
     BaConfig,
     ConfigError,
     EdgeError,
+    Graph,
     NodeIdError,
     bfs_distances,
     build_graph,
@@ -304,6 +305,52 @@ def test_pair_distance_agrees_with_bfs():
             d = bfs_distances(g, s)
             for t in range(n):
                 assert pair_distance(g, s, t) == d[t]
+    # Sparse enough to fall apart into many components: None pairs.
+    sparse = random_graph(random.Random(12), 80, 0.02)
+    assert len(components(sparse)) > 10
+    # A 40-leaf star whose hub starts a 40-node path: the two ends' levels
+    # differ widely in size, so the search switches sides as it goes.
+    star = [(0, leaf) for leaf in range(1, 41)]
+    star_path = build_graph(star + [(0, 41)] + [(v, v + 1) for v in range(41, 80)], 81)
+    for g in (sparse, star_path):
+        for s in range(g.node_count):
+            d = bfs_distances(g, s)
+            for t in range(g.node_count):
+                assert pair_distance(g, s, t) == d[t]
+    for m in (1, 2, 3):
+        g = generate_ba(BaConfig(n=1500, m_attach=m, rng_seed=m))
+        for s in random.Random(m).sample(range(g.node_count), 3):
+            d = bfs_distances(g, s)
+            for t in range(g.node_count):
+                assert pair_distance(g, s, t) == d[t]
+
+
+class CountingRows(tuple):
+    """Adjacency rows that count how many times a row is read."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_pair_distance_stops_at_first_meeting():
+    # Five disjoint 3-hop paths s-a_i-b_i-t: s = 0, t = 1, a_i = 2..6, b_i = 7..11.
+    edges = [(0, a) for a in range(2, 7)] + [(a, a + 5) for a in range(2, 7)]
+    edges += [(b, 1) for b in range(7, 12)]
+    rows = CountingRows(build_graph(edges, 12).adjacency)
+    g = Graph(12, adjacency=rows)
+    # Rows s and t, then the first b_i row: its a_i is already in s's ball.
+    assert pair_distance(g, 0, 1) == 3
+    assert rows.reads == 3
+    rows.reads = 0
+    assert pair_distance(g, 0, 2) == 1
+    assert rows.reads == 1
+    rows.reads = 0
+    assert pair_distance(g, 0, 7) == 2
+    assert rows.reads <= 2
+    assert not built(g.neighbor_sets) and not built(g.neighbors_by_degree)
 
 
 def test_pair_distance_small_cases():
