@@ -56,11 +56,10 @@ def generate_ba(cfg: BaConfig) -> Graph:
         edges.
     """
     rng = random.Random(cfg.rng_seed)
-    edges: list[tuple[int, int]] = []
+    # Edge k is (urn[2k], urn[2k + 1]): the urn is also the edge list.
     urn: list[int] = []
     for i in range(cfg.seed_size):
         for j in range(i + 1, cfg.seed_size):
-            edges.append((i, j))
             urn.append(i)
             urn.append(j)
     for v in range(cfg.seed_size, cfg.n):
@@ -75,7 +74,7 @@ def generate_ba(cfg: BaConfig) -> Graph:
             if candidate not in chosen:
                 chosen.add(candidate)
         for target in sorted(chosen):
-            edges.append((target, v))
             urn.append(target)
             urn.append(v)
-    return build_graph(edges, cfg.n)
+    ends = iter(urn)
+    return build_graph(zip(ends, ends), cfg.n)

@@ -98,6 +98,11 @@ class WalkTrace:
     cuts.  ``found_via`` is the node whose knowledge located the target
     (the final position, or the consulted neighbor that answered), ``None``
     unless the outcome is ``FOUND``.
+
+    The counts: ``forwards`` is the number of distinct nodes entered after
+    the source, ``deflections`` the remaining moves of
+    ``occupied_sequence``, and ``consults`` the number of distinct nodes
+    asked by consultation.
     """
 
     occupied_sequence: tuple[int, ...]
@@ -174,10 +179,7 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
     entry_stack: list[int] = []
     scan_stack: list[int] = []
     i = 0
-    consulted: set[int] = {source}
-    forwards = 0
-    deflections = 0
-    consults = 0
+    asked: set[int] = set()  # by consultation; occupied nodes answer for themselves
     found_via: int | None = source if source == target else None
     outcome = SearchOutcome.FOUND  # unless a failure below says otherwise
     current = source
@@ -190,21 +192,20 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
         nbrs = ranked[current] or rank(current)
         # (0b) consultation, highest degree first, never the same node twice
         if budget:
-            asked = 0
+            quota = budget
             for w in nbrs:
-                if asked == budget:
-                    break
-                if w in consulted:
+                if w in occupied or w in asked:
                     continue
-                consulted.add(w)
-                consults += 1
-                asked += 1
+                asked.add(w)
                 if w in near or sees(w):
                     found_via = w
                     break
+                quota -= 1
+                if not quota:
+                    break
             if found_via is not None:
                 break
-        if forwards + deflections >= step_cap:
+        if len(sequence) > step_cap:  # the moves, len(sequence) - 1, reach the cap
             outcome = SearchOutcome.STEP_CAP_EXHAUSTED
             break
         # (1) forward: highest-degree neighbor never occupied before.
@@ -231,9 +232,7 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
             i = 0
             current = best
             occupied.add(best)
-            consulted.add(best)
             sequence.append(best)
-            forwards += 1
         else:
             # (2) deflect to the node this one was first entered from
             if not entry_stack:
@@ -242,14 +241,14 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
             current = entry_stack.pop()
             i = scan_stack.pop()
             sequence.append(current)
-            deflections += 1
 
+    # A forward enters a node never occupied before; other moves deflect.
     return WalkTrace(
         occupied_sequence=tuple(sequence),
         path=(*entry_stack, current),
-        forwards=forwards,
-        deflections=deflections,
-        consults=consults,
+        forwards=len(occupied) - 1,
+        deflections=len(sequence) - len(occupied),
+        consults=len(asked),
         outcome=outcome,
         found_via=found_via,
     )
@@ -295,15 +294,16 @@ def materialize_route(g: Graph, trace: WalkTrace, target: int) -> Route:
     result is the loop erasure of the whole delivered walk.
 
     Raises:
-        RouteError: If the trace did not find the target, or its
-            ``found_via`` is more than 3 hops from the target.
+        RouteError: If the trace did not find the target, names no
+            ``found_via``, or its ``found_via`` is more than 3 hops from
+            the target.
     """
-    if trace.outcome is not SearchOutcome.FOUND:
+    via = trace.found_via
+    if trace.outcome is not SearchOutcome.FOUND or via is None:
         raise RouteError(
-            f"cannot materialize a route from outcome {trace.outcome.value}"
+            f"cannot materialize a route from outcome {trace.outcome.value}, found_via {via}"
         )
     _check_node(g, target, "target")
-    via = trace.found_via
     _check_node(g, via, "found_via")
     nodes = list(trace.path)
     # Found through a consulted neighbor: the route detours over it.

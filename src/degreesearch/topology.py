@@ -45,7 +45,7 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
     multiple of the graph it returns.
 
     Args:
-        path: File to read (UTF-8).
+        path: File to read (UTF-8; a leading byte-order mark is skipped).
         take_giant_component: Keep only the largest connected component,
             as ``giant_component`` selects it.
 
@@ -62,7 +62,7 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
     ids: dict[str, int] = {}
     ends: list[int] = []
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for line_no, raw in enumerate(handle, start=1):
                 tokens = raw.split()
                 if not tokens or tokens[0].startswith("#"):
@@ -79,7 +79,7 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
                     ends.append(ids.setdefault(b, len(ids)))
     except UnicodeDecodeError as exc:
         # Undecodable bytes reread as lone surrogates, which UTF-8 never yields.
-        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
             for line_no, raw in enumerate(handle, start=1):
                 if any("\udc80" <= ch <= "\udcff" for ch in raw):
                     break

@@ -90,7 +90,7 @@ def reference_load_edge_list(path, take_giant_component=True):
     to the one holding the smallest ID, with its labels ordered afresh.
     """
     pairs = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -125,6 +125,37 @@ def _reference_indexed(pairs):
     index = {label: i for i, label in enumerate(ordered)}
     g = build_graph([(index[a], index[b]) for a, b in pairs], len(ordered))
     return g, IdMap(index, ordered)
+
+
+def reference_generate_ba(cfg):
+    """The plain definition of ``generate_ba``: an explicit edge list.
+
+    The seed clique's edges, then each newcomer's ``m_attach`` distinct
+    targets in ascending order, drawn from an urn holding each edge's two
+    endpoints (uniform over existing nodes while the urn is empty) with
+    repeated targets redrawn.
+    """
+    rng = random.Random(cfg.rng_seed)
+    edges = []
+    urn = []
+    for i in range(cfg.seed_size):
+        for j in range(i + 1, cfg.seed_size):
+            edges.append((i, j))
+            urn.append(i)
+            urn.append(j)
+    for v in range(cfg.seed_size, cfg.n):
+        chosen = set()
+        while len(chosen) < cfg.m_attach:
+            if urn:
+                candidate = urn[rng.randrange(len(urn))]
+            else:
+                candidate = rng.randrange(v)
+            chosen.add(candidate)
+        for target in sorted(chosen):
+            edges.append((target, v))
+            urn.append(target)
+            urn.append(v)
+    return build_graph(edges, cfg.n)
 
 
 def check_graph_invariants(g):

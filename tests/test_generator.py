@@ -6,7 +6,7 @@ import pytest
 
 from degreesearch import BaConfig, ConfigError, bfs_distances, generate_ba
 
-from helpers import check_graph_invariants
+from helpers import check_graph_invariants, reference_generate_ba
 
 
 def edge_set(g):
@@ -65,6 +65,16 @@ def test_single_seed_node_builds_tree():
     g = generate_ba(BaConfig(n=10, m_attach=1, seed_size=1, rng_seed=3))
     assert g.edge_count == 9
     assert all(d is not None for d in bfs_distances(g, 0))
+
+
+@pytest.mark.parametrize(
+    "n, m, seed_size",
+    [(2, 1, 1), (30, 1, 1), (200, 1, 1), (50, 2, 2), (300, 3, 3), (120, 3, 5), (80, 5, 5)],
+)
+def test_matches_reference_generator(n, m, seed_size):
+    for seed in range(4):
+        cfg = BaConfig(n=n, m_attach=m, seed_size=seed_size, rng_seed=seed)
+        assert generate_ba(cfg) == reference_generate_ba(cfg)
 
 
 def test_config_validation():

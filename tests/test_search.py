@@ -555,6 +555,21 @@ def test_materialize_rejects_failed_trace():
         materialize_route(g, trace, 3)
 
 
+def test_materialize_rejects_found_trace_without_via():
+    g = build_graph([(0, 1), (1, 2)], 3)
+    trace = WalkTrace(
+        occupied_sequence=(0, 1),
+        path=(0, 1),
+        forwards=1,
+        deflections=0,
+        consults=0,
+        outcome=SearchOutcome.FOUND,
+        found_via=None,
+    )
+    with pytest.raises(RouteError):
+        materialize_route(g, trace, 2)
+
+
 def test_materialized_routes_are_valid_and_bounded_below():
     for seed in range(20):
         rng = random.Random(500 + seed)
@@ -579,7 +594,7 @@ def test_materialized_routes_are_valid_and_bounded_below():
 # --- delivered-route tails against the shortest_path oracle ---
 
 
-def test_walk_node_list_tail_matches_shortest_path():
+def test_materialize_tail_matches_shortest_path():
     graphs = [
         generate_ba(BaConfig(n=n, m_attach=m, seed_size=3, rng_seed=m + n))
         for m in (1, 2, 3)
@@ -624,14 +639,14 @@ def found_trace(sequence, via):
     )
 
 
-def test_walk_node_list_two_hop_tail_takes_smallest_id():
+def test_materialize_two_hop_tail_takes_smallest_id():
     # 0 and 9 share the common neighbours 3 and 5: the tail goes through 3.
     g = build_graph([(0, 5), (0, 3), (5, 9), (3, 9)], 10)
     assert materialize_route(g, found_trace((0,), 0), 9).nodes == (0, 3, 9)
     assert shortest_path(g, 0, 9).nodes == (0, 3, 9)
 
 
-def test_walk_node_list_three_hop_tail_takes_smallest_ids():
+def test_materialize_three_hop_tail_takes_smallest_ids():
     # Two 3-hop paths from 0 to 9, 0-2-3-9 and 0-1-4-9: walking back from
     # 9, node 3 is its smallest neighbor two hops from 0, and 2 the
     # smallest neighbor of 3 adjacent to 0.
@@ -640,7 +655,7 @@ def test_walk_node_list_three_hop_tail_takes_smallest_ids():
     assert shortest_path(g, 0, 9).nodes == (0, 2, 3, 9)
 
 
-def test_walk_node_list_rejects_via_four_hops_from_target():
+def test_materialize_rejects_via_four_hops_from_target():
     g = build_graph([(i, i + 1) for i in range(4)], 5)
     with pytest.raises(RouteError):
         materialize_route(g, found_trace((0,), 0), 4)
@@ -648,7 +663,7 @@ def test_walk_node_list_rejects_via_four_hops_from_target():
         materialize_route(g, found_trace((1, 0), 0), 4)
 
 
-def test_walk_node_list_rejects_via_in_other_component():
+def test_materialize_rejects_via_in_other_component():
     g = build_graph([(0, 1), (2, 3)], 4)
     with pytest.raises(RouteError):
         materialize_route(g, found_trace((0, 1), 1), 3)

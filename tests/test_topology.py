@@ -142,6 +142,23 @@ def test_load_non_utf8_is_edge_list_error(tmp_path):
     assert "UTF-8" in str(exc.value)
 
 
+def test_load_skips_utf8_bom(tmp_path):
+    # A byte-order mark is not part of the first label: a phantom "\ufeff0"
+    # would also switch this numeric file to string order.
+    body = b"0 1\n1 2\n2 0\n10 0\n"
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + body)
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(body)
+    assert load_edge_list(bom) == load_edge_list(plain)
+    assert load_edge_list(bom)[1].internal_to_external == ["0", "1", "2", "10"]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xef\xbb\xbf0 1\n1 \xff\n")
+    with pytest.raises(EdgeListError) as exc:
+        load_edge_list(bad)
+    assert exc.value.line_no == 2
+
+
 def test_flag_off_keeps_everything(tmp_path):
     g, idmap = load_edge_list(
         write(tmp_path, "0 1\n2 3\n3 4\n"), take_giant_component=False
@@ -259,6 +276,8 @@ def test_load_matches_string_pair_reference(tmp_path):
             bad = rng.choice(["solo", "a b c", "1\u00a02\t3", "x # y"])
             lines.insert(rng.randrange(len(lines) + 1), bad)
             text = "\n".join(lines)
+        if rng.random() < 0.2:
+            text = "\ufeff" + text
         path = tmp_path / f"g{seed}.txt"
         path.write_bytes(text.encode("utf-8"))
         for flag in (True, False):
