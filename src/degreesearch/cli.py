@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="summarize a topology file")
     stats.add_argument("--topology", required=True, help="edge-list file")
-    stats.add_argument("--pairs", type=int, default=500, help="pairs sampled for the mean shortest path (default 500)")
+    stats.add_argument("--pairs", type=int, default=500, help="pairs sampled for the mean shortest path, 0 to skip it (default 500)")
     stats.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
 
     return parser
@@ -133,6 +133,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    if args.pairs < 0:
+        raise ConfigError(f"--pairs must be >= 0, got {args.pairs}")
     full, id_map = load_edge_list(args.topology, take_giant_component=False)
     stats = degree_stats(full)
     sizes = [len(component) for component in components(full)]

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .graphs import Graph, build_graph
+from .graphs import Graph, _graph_from_rows
 
 __all__ = ["BaConfig", "generate_ba"]
 
@@ -42,7 +42,8 @@ def generate_ba(cfg: BaConfig) -> Graph:
     attaches ``m_attach`` edges to distinct existing nodes, chosen with
     probability proportional to current degree.  Degree-proportional
     sampling uses an urn holding each edge's two endpoints, with duplicate
-    targets rejected and redrawn.
+    targets rejected and redrawn.  Adjacency rows are filled as edges are
+    made; they need no sorting or deduplication afterwards.
 
     The same ``BaConfig`` always yields the same graph, and for a fixed
     ``rng_seed`` the graph at ``n`` nodes is a subgraph of the graph at any
@@ -56,25 +57,34 @@ def generate_ba(cfg: BaConfig) -> Graph:
         edges.
     """
     rng = random.Random(cfg.rng_seed)
-    # Edge k is (urn[2k], urn[2k + 1]): the urn is also the edge list.
+    rows: list[list[int]] = [[] for _ in range(cfg.n)]
+    # Every edge drops both endpoints in the urn, so each node is in it once
+    # per unit of degree.
     urn: list[int] = []
     for i in range(cfg.seed_size):
         for j in range(i + 1, cfg.seed_size):
+            rows[i].append(j)
+            rows[j].append(i)
             urn.append(i)
             urn.append(j)
     for v in range(cfg.seed_size, cfg.n):
         chosen: set[int] = set()
         while len(chosen) < cfg.m_attach:
             if urn:
-                candidate = urn[rng.randrange(len(urn))]
+                # One _randbelow(len(urn)) draw, as urn[rng.randrange(len(urn))].
+                chosen.add(rng.choice(urn))
             else:
                 # Only reachable with seed_size == 1: no edge exists yet, so
                 # fall back to a uniform pick among existing nodes.
-                candidate = rng.randrange(v)
-            if candidate not in chosen:
-                chosen.add(candidate)
+                chosen.add(rng.randrange(v))
+        # Targets are distinct and appended in ascending order, and every
+        # later append to a row is a newer, larger ID: rows stay sorted and
+        # free of repeats.
+        row = rows[v]
         for target in sorted(chosen):
+            row.append(target)
+            rows[target].append(v)
             urn.append(target)
             urn.append(v)
-    ends = iter(urn)
-    return build_graph(zip(ends, ends), cfg.n)
+    del urn
+    return _graph_from_rows(rows, tuple)

@@ -10,12 +10,13 @@ whole graph up front.
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigError, EdgeError, NodeIdError
 
@@ -157,7 +158,7 @@ def build_graph(edges: Iterable[Sequence[int]], node_count: int) -> Graph:
     """
     if node_count < 0:
         raise ConfigError(f"node_count must be >= 0, got {node_count}")
-    # Lists, not sets: a set per node would set the peak memory of loading.
+    # Lists, not sets: a set per node would take several times the memory.
     rows: list[list[int]] = [[] for _ in range(node_count)]
     for u, v in edges:
         if not (0 <= u < node_count and 0 <= v < node_count):
@@ -165,14 +166,35 @@ def build_graph(edges: Iterable[Sequence[int]], node_count: int) -> Graph:
         if u != v:
             rows[u].append(v)
             rows[v].append(u)
-    for row in rows:
-        row.sort()
+    return _graph_from_rows(rows)
+
+
+def _sorted_unique(row: list[int]) -> tuple[int, ...]:
+    row.sort()
     # A repeated edge leaves equal neighbors side by side in a sorted row.
-    adjacency = tuple(
-        tuple(dict.fromkeys(row)) if any(map(operator.eq, row, row[1:])) else tuple(row)
-        for row in rows
-    )
-    return Graph(node_count=node_count, adjacency=adjacency)
+    return tuple(dict.fromkeys(row)) if any(map(operator.eq, row, row[1:])) else tuple(row)
+
+
+def _graph_from_rows(
+    rows: list, finish: Callable[[list[int]], tuple[int, ...]] = _sorted_unique
+) -> Graph:
+    """The graph whose node ``u`` has the neighbors listed in ``rows[u]``.
+
+    ``finish`` turns one row into its adjacency tuple; by default it sorts
+    the row and drops repeated neighbors.  Each tuple takes the place of
+    its list in ``rows`` at once, so the lists and the tuples of the whole
+    graph are never all alive together.  The rows must already be
+    symmetric and free of self-loops.
+    """
+    for u, row in enumerate(rows):
+        rows[u] = finish(row)
+    # Each tuple is made as a list dies, so the count that triggers the
+    # cycle collector never rises and every tuple is still tracked.  One
+    # young-generation pass untracks them all (they hold only ints): run it
+    # here, in set-up, not at the first collection inside a search or in
+    # each forked worker.
+    gc.collect(0)
+    return Graph(node_count=len(rows), adjacency=tuple(rows))
 
 
 def bfs_distances(g: Graph, source: int) -> list[int | None]:
@@ -216,7 +238,8 @@ def components(g: Graph) -> list[list[int]]:
                     if not seen[v]:
                         seen[v] = True
                         component.append(v)
-            result.append(sorted(component))
+            component.sort()
+            result.append(component)
     return result
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Collection
 
 from .errors import EdgeListError
-from .graphs import Graph, build_graph, components
+from .graphs import Graph, _graph_from_rows, components
 
 __all__ = ["IdMap", "giant_component", "load_edge_list", "save_edge_list"]
 
@@ -28,21 +28,23 @@ class IdMap:
 def _label_order(labels: Collection[str]) -> list[str]:
     # Sorting by numeric value keeps files written by save_edge_list mapping
     # back to the identical internal IDs; labels equal in value ("1", "01")
-    # go by string.  Mixed or non-numeric labels fall back to plain string
-    # order.  Either way the assignment is independent of line order in the
-    # file.
+    # go by string, since the second sort is stable.  Mixed or non-numeric
+    # labels fall back to plain string order.  Either way the assignment is
+    # independent of line order in the file.
+    ordered = sorted(labels)
     try:
-        return [s for _, s in sorted([(int(s), s) for s in labels])]
+        return sorted(ordered, key=int)
     except ValueError:
-        return sorted(labels)
+        return ordered
 
 
 def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMap]:
     """Read a graph from an edge-list file.
 
-    The loader keeps one copy of each label and holds edges as integer
-    IDs, never as pairs of label strings, so its peak memory stays a small
-    multiple of the graph it returns.
+    The loader keeps one copy of each label and files each edge straight
+    into two adjacency rows of integer IDs, which become the graph's rows
+    in place, so its peak memory stays a small multiple of the graph it
+    returns.
 
     Args:
         path: File to read (UTF-8; a leading byte-order mark is skipped).
@@ -57,10 +59,10 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
             when no edges survive filtering.
         OSError: If the file cannot be read.
     """
-    # Provisional IDs follow first appearance; each edge is two consecutive
-    # entries of ``ends``.  build_graph drops the duplicates.
+    # Provisional IDs follow first appearance; ``rows[p]`` lists the
+    # provisional neighbors of ID ``p``, repeats included.
     ids: dict[str, int] = {}
-    ends: list[int] = []
+    rows: list[list[int]] = []
     try:
         with open(path, encoding="utf-8-sig") as handle:
             for line_no, raw in enumerate(handle, start=1):
@@ -75,8 +77,16 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
                     )
                 a, b = tokens
                 if a != b:
-                    ends.append(ids.setdefault(a, len(ids)))
-                    ends.append(ids.setdefault(b, len(ids)))
+                    u = ids.get(a)
+                    if u is None:
+                        u = ids[a] = len(rows)
+                        rows.append([])
+                    v = ids.get(b)
+                    if v is None:
+                        v = ids[b] = len(rows)
+                        rows.append([])
+                    rows[u].append(v)
+                    rows[v].append(u)
     except UnicodeDecodeError as exc:
         # Undecodable bytes reread as lone surrogates, which UTF-8 never yields.
         with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
@@ -85,11 +95,10 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
                     break
         message = f"not UTF-8 text ({exc.reason})"
         raise EdgeListError(message, path=path, line_no=line_no) from None
-    if not ends:
+    if not rows:
         raise EdgeListError("no usable edges in file", path=path)
 
-    flat = iter(ends)
-    graph, id_map = _indexed(ids, zip(flat, flat))
+    graph, id_map = _indexed(ids, rows)
     return giant_component(graph, id_map) if take_giant_component else (graph, id_map)
 
 
@@ -107,20 +116,33 @@ def giant_component(g: Graph, id_map: IdMap) -> tuple[Graph, IdMap]:
     names = id_map.internal_to_external
     position = {u: p for p, u in enumerate(giant)}
     return _indexed(
-        [names[u] for u in giant],
-        [(position[u], position[v]) for u in giant for v in g.adjacency[u] if u < v],
+        {names[u]: p for p, u in enumerate(giant)},
+        [[position[v] for v in g.adjacency[u]] for u in giant],
     )
 
 
-def _indexed(labels: Collection[str], edges) -> tuple[Graph, IdMap]:
-    # Iterating ``labels`` yields the label of each provisional ID, 0 first;
-    # ``edges`` are pairs of provisional IDs, remapped through ``rank`` to
-    # the final order.
-    ordered = _label_order(labels)
-    index = {label: i for i, label in enumerate(ordered)}
-    rank = [index[label] for label in labels]
-    graph = build_graph(((rank[u], rank[v]) for u, v in edges), len(ordered))
-    return graph, IdMap(index, ordered)
+def _indexed(ids: dict[str, int], rows: list[list[int]]) -> tuple[Graph, IdMap]:
+    # ``ids`` maps each label to its provisional ID and ``rows[p]`` lists the
+    # provisional neighbors of ID ``p``.  The labels alone decide the final
+    # order.  ``ids`` becomes the final label -> ID map in place, and each
+    # row moves to its final position, remapped through ``rank``.
+    ordered = _label_order(ids)
+    rank = [0] * len(ordered)
+    moved = []
+    # The provisional IDs are 0, 1, ... in the order of ``ids``; their int
+    # objects serve as the final IDs, so no second set of them is made.
+    for final, label in zip(list(ids.values()), ordered):
+        provisional = ids[label]
+        rank[provisional] = final
+        ids[label] = final
+        moved.append(rows[provisional])
+    # Back into the one list, so that each row's list dies as soon as
+    # _graph_from_rows puts its tuple in its place.
+    rows[:] = moved
+    del moved
+    for row in rows:
+        row[:] = map(rank.__getitem__, row)
+    return _graph_from_rows(rows), IdMap(ids, ordered)
 
 
 def save_edge_list(g: Graph, path) -> None:

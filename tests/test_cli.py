@@ -236,6 +236,21 @@ def test_stats_reads_topology_once(tmp_path, capsys, monkeypatch):
     assert "mean shortest path (10 sampled pairs):" in out
 
 
+def test_stats_rejects_negative_pairs(tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("0 1\n1 2\n", encoding="utf-8")
+    assert main(["stats", "--topology", str(graph_file), "--pairs", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --pairs must be >= 0, got -3\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    # Zero still means: skip the mean shortest path.
+    assert main(["stats", "--topology", str(graph_file), "--pairs", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "nodes: 3" in out
+    assert "mean shortest path" not in out
+
+
 def test_stats_non_utf8_topology_is_clean_error(tmp_path, capsys):
     graph_file = tmp_path / "bad.txt"
     graph_file.write_bytes(b"0 1\n1 \xff\xfe\n")

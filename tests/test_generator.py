@@ -1,6 +1,8 @@
 """Preferential-attachment generator behavior."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -75,6 +77,22 @@ def test_matches_reference_generator(n, m, seed_size):
     for seed in range(4):
         cfg = BaConfig(n=n, m_attach=m, seed_size=seed_size, rng_seed=seed)
         assert generate_ba(cfg) == reference_generate_ba(cfg)
+
+
+def test_generate_peak_memory_is_a_small_multiple_of_the_result():
+    # Passing the urn's edges to build_graph peaked at 2.4x the memory of
+    # the returned graph; filling the rows directly and turning each into
+    # its tuple in place peaks at 1.6x.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.node_count == 20_000
+    assert (peak - base) < 2 * (retained - base), (peak - base, retained - base)
 
 
 def test_config_validation():

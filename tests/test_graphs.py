@@ -1,5 +1,6 @@
 """Graph construction, BFS oracles, and degree statistics."""
 
+import gc
 import pickle
 import random
 
@@ -15,7 +16,9 @@ from degreesearch import (
     build_graph,
     degree_stats,
     generate_ba,
+    load_edge_list,
     pair_distance,
+    save_edge_list,
     shortest_path,
 )
 from degreesearch.graphs import _fit_exponent, components
@@ -92,6 +95,19 @@ def test_build_invariants_on_random_graphs():
         rng = random.Random(seed)
         g = random_graph(rng, rng.randrange(1, 40), rng.random() * 0.5)
         check_graph_invariants(g)
+
+
+def test_built_rows_are_left_untracked_by_the_cycle_collector(tmp_path):
+    # A tuple of ints leaves the collector's lists at the first collection
+    # that sees it.  Building a graph runs that collection itself, so the
+    # first one inside a search, or in each forked worker, does not walk
+    # every row.
+    g = generate_ba(BaConfig(n=3000, m_attach=3, seed_size=3, rng_seed=1))
+    path = tmp_path / "g.txt"
+    save_edge_list(g, path)
+    edges = [(u, v) for u, row in enumerate(g.adjacency) for v in row]
+    for built_graph in (g, build_graph(edges, g.node_count), load_edge_list(path)[0]):
+        assert not any(map(gc.is_tracked, built_graph.adjacency))
 
 
 def test_has_edge_and_neighbor_set():

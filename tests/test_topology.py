@@ -187,6 +187,27 @@ def test_labels_equal_in_value_ordered_by_string(tmp_path):
     assert g.adjacency == ((1,), (0, 2), (1,))
 
 
+@pytest.mark.parametrize("extra", [[], ["x"]], ids=["numeric", "one-string"])
+def test_label_order_matches_value_then_string_key(tmp_path, extra):
+    # Spellings int() accepts beside plain labels of equal value: the two
+    # stable sorts must give the (int(s), s) order, and a single label that
+    # is not an integer must switch the whole file to string order.
+    labels = ["+1", "1", "01", "1_0", "10", "-0", "0", "007", "7", "\u0663", "3", "-3"]
+    labels += extra
+    giant, small = labels[:8] + extra, labels[8:]
+    lines = [f"{a} {b}" for comp in (giant, small) for a, b in zip(comp, comp[1:])]
+    path = write(tmp_path, "\n".join(reversed(lines)) + "\n")
+    for flag in (True, False):
+        assert load_edge_list(path, flag) == reference_load_edge_list(path, flag), flag
+    _, idmap = load_edge_list(path, take_giant_component=False)
+    if extra:
+        assert idmap.internal_to_external == sorted(labels)
+    else:
+        assert idmap.internal_to_external == [
+            "-3", "-0", "0", "+1", "01", "1", "3", "\u0663", "007", "7", "10", "1_0"
+        ]
+
+
 def test_load_insensitive_to_order_and_direction(tmp_path):
     g1, m1 = load_edge_list(write(tmp_path, "0 1\n1 2\n2 0\n", "a.txt"))
     g2, m2 = load_edge_list(write(tmp_path, "2 1\n0 2\n1 0\n", "b.txt"))
@@ -297,6 +318,8 @@ def test_load_peak_memory_is_a_small_multiple_of_the_result(tmp_path):
     # Holding every edge as a pair of label strings peaked at 7.2x the
     # memory of the returned graph and map; integer edge IDs peaked at
     # 3.9x with a set per node in build_graph, 2.1x with a list per node.
+    # Filing each edge straight into adjacency rows, which become the
+    # graph's tuples in place, peaks at 1.4x.
     path = tmp_path / "ba.txt"
     save_edge_list(generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5)), path)
     gc.collect()
@@ -308,4 +331,4 @@ def test_load_peak_memory_is_a_small_multiple_of_the_result(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded[0].node_count == 20_000
-    assert (peak - base) < 5 * (retained - base), (peak - base, retained - base)
+    assert (peak - base) < 2 * (retained - base), (peak - base, retained - base)
