@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .generate import BaConfig, generate_ba
@@ -115,11 +117,11 @@ class ExperimentPlan:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(NamedTuple):
     """One row of raw experiment output.
 
-    The field order is the column order of ``searches.csv``.
+    A named tuple: the record is the ``searches.csv`` row as written, its
+    field order the column order.
     """
 
     round: int
@@ -161,6 +163,12 @@ class ExperimentSummary:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Per-variant summaries and every search's record.
+
+    Records come in (round, pair, variant) order, and their ``s`` and
+    ``t`` are the plan's own sampled pairs.
+    """
+
     summaries: tuple[ExperimentSummary, ...]
     records: tuple[SearchRecord, ...]
 
@@ -202,10 +210,11 @@ def _run_chunk(
     round_index: int,
     base_index: int,
     pairs: list[tuple[int, int]],
-) -> list[SearchRecord]:
-    records: list[SearchRecord] = []
-    for offset, (s, t) in enumerate(pairs):
-        pair_index = base_index + offset
+) -> list[tuple]:
+    # Per search, in (pair, variant) order, the record's last six fields:
+    # the caller holds the round, pairs and labels already.
+    results: list[tuple] = []
+    for pair_index, (s, t) in enumerate(pairs, base_index):
         oracle = pair_distance(g, s, t)
         # Each variant's seed is _derive_seed(..., pair_index, vi); fold the pair's part once.
         prefix = _derive_seed(master_seed, _STREAM_SEARCH, round_index, pair_index)
@@ -224,22 +233,9 @@ def _run_chunk(
                 route_length = route.length
                 if var.refine:
                     refined_length = refine_route(g, route).refined.length
-            records.append(
-                SearchRecord(
-                    round=round_index,
-                    pair_index=pair_index,
-                    s=s,
-                    t=t,
-                    variant=var.label,
-                    outcome=trace.outcome.value,
-                    walk_steps=trace.walk_steps,
-                    route_length=route_length,
-                    refined_length=refined_length,
-                    consults=trace.consults,
-                    oracle_distance=oracle,
-                )
-            )
-    return records
+            outcome = trace.outcome.value
+            results.append((outcome, trace.walk_steps, route_length, refined_length, trace.consults, oracle))
+    return results
 
 
 _WORKER_STATE: tuple[Graph, tuple[VariantSpec, ...], int] | None = None
@@ -250,10 +246,8 @@ def _init_worker(g: Graph, variants: tuple[VariantSpec, ...], master_seed: int) 
     _WORKER_STATE = (g, variants, master_seed)
 
 
-def _run_chunk_in_worker(task: tuple[int, int, list[tuple[int, int]]]) -> list[SearchRecord]:
-    g, variants, master_seed = _WORKER_STATE
-    round_index, base_index, pairs = task
-    return _run_chunk(g, variants, master_seed, round_index, base_index, pairs)
+def _run_chunk_in_worker(task: tuple[int, int, list[tuple[int, int]]]) -> list[tuple]:
+    return _run_chunk(*_WORKER_STATE, *task)
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
@@ -270,20 +264,25 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
         pairs = sample_pairs(g, plan.pairs_per_round, pair_seed)
         for base in range(0, len(pairs), _CHUNK_PAIRS):
             tasks.append((round_index, base, pairs[base : base + _CHUNK_PAIRS]))
+    labels = [v.label for v in plan.variants]
+    state = (g, plan.variants, plan.master_seed)
     # The pool starts all its processes up front, so start none without work.
     workers = min(plan.workers, len(tasks))
-    if workers == 1:
-        chunks = [
-            _run_chunk(g, plan.variants, plan.master_seed, *task) for task in tasks
-        ]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(g, plan.variants, plan.master_seed),
-        ) as pool:
-            chunks = list(pool.map(_run_chunk_in_worker, tasks))
-    records = tuple(record for chunk in chunks for record in chunk)
+    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=state) if workers > 1 else None
+    with pool or nullcontext():
+        if pool is None:
+            replies = (_run_chunk(*state, *task) for task in tasks)
+        else:
+            replies = pool.map(_run_chunk_in_worker, tasks)
+        # Each chunk's records are built as it arrives, from this process's
+        # own pairs and labels, walked in the chunk's (pair, variant) order.
+        records = tuple(
+            SearchRecord(round_index, pair_index, s, t, label, *values)
+            for (round_index, base, pairs), reply in zip(tasks, replies)
+            for ((pair_index, (s, t)), label), values in zip(
+                product(enumerate(pairs, base), labels), reply
+            )
+        )
     summaries = _summarize(plan.variants, records)
     return ExperimentResult(summaries=summaries, records=records)
 
@@ -349,8 +348,7 @@ def emit_csv(
     Output is byte-identical for identical inputs: ``SearchRecord``'s
     fields as the columns, LF newlines, empty cells for absent values.
     """
-    columns = [f.name for f in fields(SearchRecord)]
-    _write_csv(records_path, columns, map(operator.attrgetter(*columns), records))
+    _write_csv(records_path, SearchRecord._fields, records)
     payload = [asdict(s) for s in summaries]
     with open(summary_path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2)

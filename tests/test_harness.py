@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -29,6 +31,17 @@ from helpers import summarize_csv_rows
 HEADER = (
     "round,pair_index,s,t,variant,outcome,walk_steps,"
     "route_length,refined_length,consults,oracle_distance"
+)
+
+# The seven variants of the canonical acceptance plan.
+CANONICAL_VARIANTS = (
+    VariantSpec(visibility_h=1),
+    VariantSpec(visibility_h=2),
+    VariantSpec(visibility_h=3),
+    VariantSpec(visibility_h=2, consult_budget_c=2),
+    VariantSpec(visibility_h=2, consult_budget_c=3),
+    VariantSpec(visibility_h=2, consult_budget_c=5),
+    VariantSpec(visibility_h=2, refine=True),
 )
 
 
@@ -142,20 +155,22 @@ def test_adjacent_pair_plan():
 
 
 def test_variants_share_pairs_and_records_are_ordered():
-    plan = small_plan()
-    result = run_experiment(plan)
-    labels = [v.label for v in plan.variants]
-    expected_keys = []
-    for rnd in range(3):
-        for pair in range(25):
-            for label in labels:
-                expected_keys.append((rnd, pair, label))
-    actual_keys = [(r.round, r.pair_index, r.variant) for r in result.records]
-    assert actual_keys == expected_keys
-    by_pair = {}
-    for r in result.records:
-        by_pair.setdefault((r.round, r.pair_index), set()).add((r.s, r.t))
-    assert all(len(ends) == 1 for ends in by_pair.values())
+    # 25 pairs fit one chunk per round.  73 leave a short chunk behind a
+    # full one, and two workers' replies are assembled into records.
+    chunked = small_plan(pairs_per_round=73, rounds=2, workers=2, variants=small_plan().variants[:3])
+    assert chunked.pairs_per_round % experiment._CHUNK_PAIRS
+    for plan in (small_plan(), chunked):
+        result = run_experiment(plan)
+        g = generate_ba(plan.topology)
+        labels = [v.label for v in plan.variants]
+        expected = []
+        for rnd in range(plan.rounds):
+            seed = experiment._derive_seed(plan.master_seed, experiment._STREAM_PAIRS, rnd)
+            for pair, (s, t) in enumerate(sample_pairs(g, plan.pairs_per_round, seed)):
+                for label in labels:
+                    expected.append((rnd, pair, label, s, t))
+        actual = [(r.round, r.pair_index, r.variant, r.s, r.t) for r in result.records]
+        assert actual == expected
 
 
 def test_pair_sets_stable_across_variant_choices():
@@ -339,11 +354,44 @@ def test_worker_count_does_not_change_output(tmp_path):
     plan2 = small_plan(pairs_per_round=60, rounds=2, workers=2)
     r1 = run_experiment(plan1)
     r2 = run_experiment(plan2)
+    # A named tuple equals a bare tuple, so == alone would pass plain rows.
+    assert all(type(r) is SearchRecord for r in r1.records + r2.records)
     assert r1.records == r2.records
     assert r1.summaries == r2.summaries
     emit_csv(r1.summaries, r1.records, tmp_path / "w1.csv", tmp_path / "w1.json")
     emit_csv(r2.summaries, r2.records, tmp_path / "w2.csv", tmp_path / "w2.json")
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+
+def test_pooled_records_cost_no_more_than_serial_ones():
+    # Records unpickled from the pool carried their own s, t and
+    # pair_index: 302 B each against 185 B from a serial run.  Built in
+    # the parent from its own pairs, both come to about 153 B.
+    plan = small_plan(
+        topology=BaConfig(n=2000, m_attach=3, seed_size=3, rng_seed=0),
+        variants=CANONICAL_VARIANTS,
+        pairs_per_round=300,
+        rounds=2,
+    )
+    # The first pool in a process imports its modules; keep that out of the count.
+    run_experiment(small_plan(pairs_per_round=100, rounds=1, workers=2))
+
+    def bytes_per_record(workers):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            records = run_experiment(dataclasses.replace(plan, workers=workers)).records
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 4200
+        return retained / len(records)
+
+    serial, pooled = bytes_per_record(1), bytes_per_record(2)
+    assert pooled <= 1.1 * serial, (pooled, serial)
+    assert pooled < 200, pooled
 
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
@@ -372,6 +420,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     plan = small_plan(pairs_per_round=50, rounds=3, workers=8)
     records = run_experiment(plan).records
     assert built == [3]
+    assert all(type(r) is SearchRecord for r in records)
     assert records == run_experiment(dataclasses.replace(plan, workers=1)).records
 
 
@@ -457,15 +506,7 @@ PINNED_DIGESTS = {
 def test_canonical_variants_output_bytes_pinned(tmp_path, workers):
     plan = ExperimentPlan(
         topology=BaConfig(n=2000, m_attach=3, seed_size=3, rng_seed=0),
-        variants=(
-            VariantSpec(visibility_h=1),
-            VariantSpec(visibility_h=2),
-            VariantSpec(visibility_h=3),
-            VariantSpec(visibility_h=2, consult_budget_c=2),
-            VariantSpec(visibility_h=2, consult_budget_c=3),
-            VariantSpec(visibility_h=2, consult_budget_c=5),
-            VariantSpec(visibility_h=2, refine=True),
-        ),
+        variants=CANONICAL_VARIANTS,
         pairs_per_round=100,
         rounds=2,
         master_seed=0,
