@@ -13,7 +13,6 @@ import csv
 import json
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import product
@@ -268,7 +267,13 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     state = (g, plan.variants, plan.master_seed)
     # The pool starts all its processes up front, so start none without work.
     workers = min(plan.workers, len(tasks))
-    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=state) if workers > 1 else None
+    if workers > 1:
+        # Imported here so that serial runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=state)
+    else:
+        pool = None
     with pool or nullcontext():
         if pool is None:
             replies = (_run_chunk(*state, *task) for task in tasks)

@@ -42,8 +42,11 @@ def generate_ba(cfg: BaConfig) -> Graph:
     attaches ``m_attach`` edges to distinct existing nodes, chosen with
     probability proportional to current degree.  Degree-proportional
     sampling uses an urn holding each edge's two endpoints, with duplicate
-    targets rejected and redrawn.  Adjacency rows are filled as edges are
-    made; they need no sorting or deduplication afterwards.
+    targets rejected and redrawn.  Each target is ``urn[randrange(len(urn))]``,
+    drawn straight from ``getrandbits`` by CPython's own rejection rule;
+    the tests pin that the two give the same values.  Adjacency rows are
+    filled as edges are made; they need no sorting or deduplication
+    afterwards.
 
     The same ``BaConfig`` always yields the same graph, and for a fixed
     ``rng_seed`` the graph at ``n`` nodes is a subgraph of the graph at any
@@ -57,7 +60,9 @@ def generate_ba(cfg: BaConfig) -> Graph:
         edges.
     """
     rng = random.Random(cfg.rng_seed)
-    rows: list[list[int]] = [[] for _ in range(cfg.n)]
+    getrandbits = rng.getrandbits
+    m_attach = cfg.m_attach
+    rows: list[list[int]] = [[] for _ in range(cfg.seed_size)]
     # Every edge drops both endpoints in the urn, so each node is in it once
     # per unit of degree.
     urn: list[int] = []
@@ -69,20 +74,26 @@ def generate_ba(cfg: BaConfig) -> Graph:
             urn.append(j)
     for v in range(cfg.seed_size, cfg.n):
         chosen: set[int] = set()
-        while len(chosen) < cfg.m_attach:
-            if urn:
-                # One _randbelow(len(urn)) draw, as urn[rng.randrange(len(urn))].
-                chosen.add(rng.choice(urn))
-            else:
-                # Only reachable with seed_size == 1: no edge exists yet, so
-                # fall back to a uniform pick among existing nodes.
+        size = len(urn)
+        if size:
+            # urn[randrange(size)], drawn as CPython's _randbelow does: take
+            # size.bit_length() random bits and redraw when they reach size.
+            k = size.bit_length()
+            while len(chosen) < m_attach:
+                r = getrandbits(k)
+                if r < size:
+                    chosen.add(urn[r])
+        else:
+            # Only reachable with seed_size == 1: no edge exists yet, so
+            # fall back to a uniform pick among existing nodes.
+            while len(chosen) < m_attach:
                 chosen.add(rng.randrange(v))
-        # Targets are distinct and appended in ascending order, and every
-        # later append to a row is a newer, larger ID: rows stay sorted and
-        # free of repeats.
-        row = rows[v]
-        for target in sorted(chosen):
-            row.append(target)
+        # Targets are distinct and in ascending order, and every later
+        # append to a row is a newer, larger ID: rows stay sorted and free
+        # of repeats.
+        row = sorted(chosen)
+        rows.append(row)
+        for target in row:
             rows[target].append(v)
             urn.append(target)
             urn.append(v)

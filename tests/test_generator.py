@@ -71,12 +71,40 @@ def test_single_seed_node_builds_tree():
 
 @pytest.mark.parametrize(
     "n, m, seed_size",
-    [(2, 1, 1), (30, 1, 1), (200, 1, 1), (50, 2, 2), (300, 3, 3), (120, 3, 5), (80, 5, 5)],
+    [
+        (2, 1, 1),
+        (30, 1, 1),
+        (200, 1, 1),
+        (1100, 1, 1),
+        (50, 2, 2),
+        (300, 3, 3),
+        (3000, 3, 3),
+        (120, 3, 5),
+        (80, 5, 5),
+        (400, 40, 40),
+    ],
 )
 def test_matches_reference_generator(n, m, seed_size):
     for seed in range(4):
         cfg = BaConfig(n=n, m_attach=m, seed_size=seed_size, rng_seed=seed)
         assert generate_ba(cfg) == reference_generate_ba(cfg)
+
+
+def test_rejection_draw_matches_randrange():
+    # generate_ba draws urn indices as getrandbits(n.bit_length()), redrawn
+    # while >= n; that must be the very draw randrange(n) makes.
+    for seed in range(3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in range(1, 4098):
+            k = n.bit_length()
+            r = ours.getrandbits(k)
+            while r >= n:
+                r = ours.getrandbits(k)
+            expected = theirs.randrange(n)
+            assert r == expected, (
+                f"generate_ba's draw below {n} gave {r}, randrange gave "
+                f"{expected} (seed {seed}): this Python's randrange differs"
+            )
 
 
 def test_generate_peak_memory_is_a_small_multiple_of_the_result():

@@ -1,5 +1,6 @@
 """Experiment pipeline: pairing, aggregation, emission, reproducibility."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import gc
@@ -396,7 +397,8 @@ def test_pooled_records_cost_no_more_than_serial_ones():
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     # An in-process stand-in for the pool: a real one forks every worker
-    # up front, whether or not a chunk is left for it.
+    # up front, whether or not a chunk is left for it.  ``run_experiment``
+    # imports the pool class when it needs one, so patch it at its source.
     built = []
 
     class FakePool:
@@ -413,7 +415,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(experiment, "_WORKER_STATE", None)
     run_experiment(small_plan(pairs_per_round=25, rounds=1, workers=8))
     assert built == []

@@ -21,16 +21,13 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
 
 
-def test_runtime_imports_only_the_standard_library():
-    # A fresh interpreter: this one has already imported the package and pytest.
+def modules_added_by(code):
+    """Modules a fresh interpreter holds after running ``code`` that it did
+    not hold before; this interpreter has already imported the package and
+    pytest."""
     src = str(Path(degreesearch.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import degreesearch, degreesearch.cli\n"
-        "print(*sorted(set(sys.modules) - before))\n"
-    )
+    probe = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(*sorted(set(sys.modules) - before))\n"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -38,9 +35,25 @@ def test_runtime_imports_only_the_standard_library():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    added = result.stdout.split()
+    return result.stdout.split()
+
+
+def test_runtime_imports_only_the_standard_library():
+    added = modules_added_by("import degreesearch, degreesearch.cli")
     assert "degreesearch.cli" in added
-    # ``__mp_main__`` is the alias multiprocessing registers for ``__main__``.
-    allowed = sys.stdlib_module_names | {"degreesearch", "__mp_main__"}
+    allowed = sys.stdlib_module_names | {"degreesearch"}
     foreign = [name for name in added if name.split(".")[0] not in allowed]
     assert not foreign, f"non-stdlib modules imported at runtime: {foreign}"
+
+
+def test_serial_run_loads_no_process_pool():
+    # multiprocessing costs every process that loads it ~2.5 MiB of RSS; only
+    # a plan with more than one worker needs it.
+    added = modules_added_by(
+        "import degreesearch, degreesearch.cli\n"
+        "from degreesearch import BaConfig, ExperimentPlan, VariantSpec, run_experiment\n"
+        "plan = ExperimentPlan(BaConfig(n=60), (VariantSpec(),), pairs_per_round=5, rounds=1)\n"
+        "assert len(run_experiment(plan).records) == 5"
+    )
+    loaded = [name for name in ("multiprocessing", "concurrent.futures.process") if name in added]
+    assert not loaded, f"a serial run imported {loaded}"
