@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "DegreeSearchError",
+    "EdgeError",
+    "NodeIdError",
+    "EdgeListError",
+    "ConfigError",
+    "RouteError",
+]
+
 
 class DegreeSearchError(Exception):
     """Base class for all errors raised by this package."""

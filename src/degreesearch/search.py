@@ -174,11 +174,7 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
 
     occupied = {source}
     sequence = [source]
-    # The DFS stack of entry points and the scan positions they resume at;
-    # ``i`` is the current node's.  Occupation is permanent, so it only grows.
-    entry_stack: list[int] = []
-    scan_stack: list[int] = []
-    i = 0
+    entry_stack: list[int] = []  # the DFS stack of entry points
     asked: set[int] = set()  # by consultation; occupied nodes answer for themselves
     found_via: int | None = source if source == target else None
     outcome = SearchOutcome.FOUND  # unless a failure below says otherwise
@@ -208,8 +204,11 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
         if len(sequence) > step_cap:  # the moves, len(sequence) - 1, reach the cap
             outcome = SearchOutcome.STEP_CAP_EXHAUSTED
             break
-        # (1) forward: highest-degree neighbor never occupied before.
+        # (1) forward: highest-degree neighbor never occupied before.  The
+        # scan restarts at 0: occupation is permanent, so a node the walk
+        # falls back to only passes again the occupied prefix it passed before.
         n = len(nbrs)
+        i = 0
         while i < n and nbrs[i] in occupied:
             i += 1
         if i < n:
@@ -228,8 +227,6 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
                 rng = rng or random.Random(cfg.rng_seed)
                 best = tied[rng.randrange(len(tied))]
             entry_stack.append(current)
-            scan_stack.append(i)
-            i = 0
             current = best
             occupied.add(best)
             sequence.append(best)
@@ -239,7 +236,6 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
                 outcome = SearchOutcome.STUCK_AT_SOURCE
                 break
             current = entry_stack.pop()
-            i = scan_stack.pop()
             sequence.append(current)
 
     # A forward enters a node never occupied before; other moves deflect.

@@ -2,8 +2,19 @@
 
 import random
 
-from degreesearch import EdgeListError, Graph, IdMap, build_graph
+from degreesearch import EdgeListError, Graph, IdMap, VariantSpec, build_graph
 from degreesearch.graphs import components
+
+# The seven variants of the canonical acceptance plan.
+CANONICAL_VARIANTS = (
+    VariantSpec(visibility_h=1),
+    VariantSpec(visibility_h=2),
+    VariantSpec(visibility_h=3),
+    VariantSpec(visibility_h=2, consult_budget_c=2),
+    VariantSpec(visibility_h=2, consult_budget_c=3),
+    VariantSpec(visibility_h=2, consult_budget_c=5),
+    VariantSpec(visibility_h=2, refine=True),
+)
 
 
 def random_graph(rng, n, p, ensure_connected=False):
@@ -217,7 +228,3 @@ def summarize_csv_rows(rows):
             ),
         }
     return out
-
-
-def make_rng(seed):
-    return random.Random(seed)

@@ -33,7 +33,13 @@ from degreesearch import (
     shortest_path,
 )
 
-from helpers import floyd_warshall, pivot_indices, random_graph, random_simple_path
+from helpers import (
+    CANONICAL_VARIANTS,
+    floyd_warshall,
+    pivot_indices,
+    random_graph,
+    random_simple_path,
+)
 
 NODES = 10_000
 M_ATTACH = 3
@@ -55,15 +61,7 @@ def _report(name, ok, detail):
 def full_run():
     plan = ExperimentPlan(
         topology=BaConfig(n=NODES, m_attach=M_ATTACH, seed_size=3, rng_seed=0),
-        variants=(
-            VariantSpec(visibility_h=1),
-            VariantSpec(visibility_h=2),
-            VariantSpec(visibility_h=3),
-            VariantSpec(visibility_h=2, consult_budget_c=2),
-            VariantSpec(visibility_h=2, consult_budget_c=3),
-            VariantSpec(visibility_h=2, consult_budget_c=5),
-            VariantSpec(visibility_h=2, refine=True),
-        ),
+        variants=CANONICAL_VARIANTS,
         pairs_per_round=PAIRS,
         rounds=ROUNDS,
         master_seed=MASTER_SEED,

@@ -110,6 +110,22 @@ def test_run_on_topology_file(tmp_path, capsys):
     assert "h1: " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("nodes, m_attach, seed", [(300, 3, 4), (500, 2, 9), (150, 5, 1)])
+def test_generated_file_runs_like_ba(tmp_path, nodes, m_attach, seed):
+    # Saving, loading (label order, giant component) and the file branch of
+    # the cli must hand the harness the graph --ba builds in memory.
+    graph_file = tmp_path / "g.txt"
+    generate = ["generate", "--nodes", str(nodes), "--m-attach", str(m_attach)]
+    assert main([*generate, "--seed", str(seed), "--out", str(graph_file)]) == 0
+    search = ["--h", "2", "--consult", "5", "--refine", "--pairs", "40", "--rounds", "2"]
+    sources = {"file": ["--topology", str(graph_file)], "ba": ["--ba", f"{nodes},{m_attach}"]}
+    for name, source in sources.items():
+        out_dir = str(tmp_path / name)
+        assert main(["run", *source, *search, "--seed", str(seed), "--out-dir", out_dir]) == 0
+    for name in ("searches.csv", "summary.json", "histogram.csv"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "ba" / name).read_bytes()
+
+
 def test_run_missing_topology_is_clean_error(tmp_path, capsys):
     code = main(
         [

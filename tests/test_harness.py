@@ -27,22 +27,11 @@ from degreesearch import (
     sample_pairs,
 )
 
-from helpers import summarize_csv_rows
+from helpers import CANONICAL_VARIANTS, summarize_csv_rows
 
 HEADER = (
     "round,pair_index,s,t,variant,outcome,walk_steps,"
     "route_length,refined_length,consults,oracle_distance"
-)
-
-# The seven variants of the canonical acceptance plan.
-CANONICAL_VARIANTS = (
-    VariantSpec(visibility_h=1),
-    VariantSpec(visibility_h=2),
-    VariantSpec(visibility_h=3),
-    VariantSpec(visibility_h=2, consult_budget_c=2),
-    VariantSpec(visibility_h=2, consult_budget_c=3),
-    VariantSpec(visibility_h=2, consult_budget_c=5),
-    VariantSpec(visibility_h=2, refine=True),
 )
 
 

@@ -21,6 +21,31 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name!r}"
 
 
+# Names the package exports that no change may drop.
+EXPORTED_BEFORE = (
+    "BaConfig", "ConfigError", "DegreeSearchError", "DegreeStats", "EdgeError",
+    "EdgeListError", "ExperimentPlan", "ExperimentResult", "ExperimentSummary",
+    "Graph", "IdMap", "NodeIdError", "RefinementResult", "Route", "RouteError",
+    "SearchConfig", "SearchOutcome", "SearchRecord", "VariantSpec", "WalkTrace",
+    "bfs_distances", "build_graph", "degree_stats", "emit_csv", "emit_histogram",
+    "generate_ba", "khop_contains", "load_edge_list", "materialize_route",
+    "pair_distance", "refine_route", "run_experiment", "run_search", "sample_pairs",
+    "save_edge_list", "shortest_path", "__version__",
+)
+
+
+def test_package_exports_every_module_name():
+    exported = degreesearch.__all__
+    missing = set(EXPORTED_BEFORE) - set(exported)
+    assert not missing, f"dropped from degreesearch.__all__: {sorted(missing)}"
+    assert len(exported) == len(set(exported)), "duplicate names in __all__"
+    for info in pkgutil.iter_modules(degreesearch.__path__):
+        module = importlib.import_module(f"degreesearch.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert name in exported, f"degreesearch.__all__ lacks {info.name}.{name}"
+            assert getattr(degreesearch, name) is getattr(module, name), name
+
+
 def modules_added_by(code):
     """Modules a fresh interpreter holds after running ``code`` that it did
     not hold before; this interpreter has already imported the package and

@@ -23,11 +23,13 @@ from degreesearch import (
 )
 
 from degreesearch.graphs import components
-from helpers import loop_erase, random_graph
+from helpers import CANONICAL_VARIANTS, loop_erase, random_graph
 
 
-# Every (visibility_h, consult_budget_c) walk configuration the harness runs.
-WALK_CONFIGS = ((1, 0), (2, 0), (3, 0), (2, 2), (2, 3), (2, 5))
+# Every (visibility_h, consult_budget_c) walk configuration the canonical plan runs.
+WALK_CONFIGS = tuple(
+    dict.fromkeys((v.visibility_h, v.consult_budget_c) for v in CANONICAL_VARIANTS)
+)
 
 
 def star5():
