@@ -10,7 +10,7 @@ from .errors import ConfigError, DegreeSearchError
 from .experiment import ExperimentPlan, VariantSpec, emit_csv, emit_histogram, run_experiment, sample_pairs
 from .generate import BaConfig, generate_ba
 from .graphs import components, degree_stats, pair_distance
-from .topology import giant_component, load_edge_list, save_edge_list
+from .topology import _component, load_edge_list, save_edge_list
 
 
 def _parse_ba(text: str) -> tuple[int, int]:
@@ -41,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     gen.add_argument("--out", required=True, help="edge-list file to write")
+    gen.set_defaults(handler=_cmd_generate)
 
     run = sub.add_parser("run", help="run a search experiment")
     source = run.add_mutually_exclusive_group(required=True)
@@ -61,24 +62,25 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
     run.add_argument("--bin-width", type=int, default=10, help="histogram bin width (default 10)")
     run.add_argument("--out-dir", required=True, help="directory for result files")
+    run.set_defaults(handler=_cmd_run)
 
     stats = sub.add_parser("stats", help="summarize a topology file")
     stats.add_argument("--topology", required=True, help="edge-list file")
     stats.add_argument("--pairs", type=int, default=500, help="pairs sampled for the mean shortest path, 0 to skip it (default 500)")
     stats.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    stats.set_defaults(handler=_cmd_stats)
 
     return parser
 
 
+def _ba_config(nodes: int, m_attach: int, seed: int, seed_size: int | None = None) -> BaConfig:
+    if seed_size is None:
+        seed_size = max(3, m_attach)
+    return BaConfig(n=nodes, m_attach=m_attach, seed_size=seed_size, rng_seed=seed)
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    seed_size = args.seed_size if args.seed_size is not None else max(3, args.m_attach)
-    cfg = BaConfig(
-        n=args.nodes,
-        m_attach=args.m_attach,
-        seed_size=seed_size,
-        rng_seed=args.seed,
-    )
-    g = generate_ba(cfg)
+    g = generate_ba(_ba_config(args.nodes, args.m_attach, args.seed, args.seed_size))
     save_edge_list(g, args.out)
     print(f"wrote {g.node_count} nodes, {g.edge_count} edges to {args.out}")
     return 0
@@ -86,10 +88,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.ba is not None:
-        n, m = args.ba
-        topology: BaConfig | str = BaConfig(
-            n=n, m_attach=m, seed_size=max(3, m), rng_seed=args.seed
-        )
+        topology: BaConfig | str = _ba_config(*args.ba, args.seed)
     else:
         topology = args.topology
     variant = VariantSpec(
@@ -137,8 +136,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         raise ConfigError(f"--pairs must be >= 0, got {args.pairs}")
     full, id_map = load_edge_list(args.topology, take_giant_component=False)
     stats = degree_stats(full)
-    sizes = [len(component) for component in components(full)]
-    giant = max(sizes)
+    parts = components(full)
+    giant = max(parts, key=len)
     print(f"nodes: {full.node_count}")
     print(f"edges: {full.edge_count}")
     print(f"min degree: {stats.min_degree}")
@@ -148,16 +147,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     else:
         print(f"fitted exponent: {stats.fitted_exponent:.3f}")
     print(
-        f"giant component: {giant} nodes ({100.0 * giant / full.node_count:.1f}%), "
-        f"{len(sizes)} component(s)"
+        f"giant component: {len(giant)} nodes ({100.0 * len(giant) / full.node_count:.1f}%), "
+        f"{len(parts)} component(s)"
     )
     if args.pairs > 0:
-        giant_graph, _ = giant_component(full, id_map)
-        if giant_graph.node_count >= 2:
-            pairs = sample_pairs(giant_graph, args.pairs, args.seed)
-            distances = [pair_distance(giant_graph, s, t) for s, t in pairs]
-            mean = sum(distances) / len(distances)
-            print(f"mean shortest path ({len(pairs)} sampled pairs): {mean:.3f}")
+        # A loaded file always holds an edge, so its giant component has two nodes.
+        giant_graph, _ = _component(full, id_map, giant)
+        pairs = sample_pairs(giant_graph, args.pairs, args.seed)
+        distances = [pair_distance(giant_graph, s, t) for s, t in pairs]
+        mean = sum(distances) / len(distances)
+        print(f"mean shortest path ({len(pairs)} sampled pairs): {mean:.3f}")
     print("degree histogram:")
     for degree, count in stats.histogram.items():
         print(f"  {degree} {count}")
@@ -167,13 +166,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "run": _cmd_run,
-        "stats": _cmd_stats,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (DegreeSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

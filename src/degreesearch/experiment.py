@@ -272,13 +272,11 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=state)
+        replies = pool.map(_run_chunk_in_worker, tasks)
     else:
-        pool = None
-    with pool or nullcontext():
-        if pool is None:
-            replies = (_run_chunk(*state, *task) for task in tasks)
-        else:
-            replies = pool.map(_run_chunk_in_worker, tasks)
+        pool = nullcontext()
+        replies = (_run_chunk(*state, *task) for task in tasks)
+    with pool:
         # Each chunk's records are built as it arrives, from this process's
         # own pairs and labels, walked in the chunk's (pair, variant) order.
         records = tuple(
@@ -316,16 +314,12 @@ def _summarize(
                 variant=var.label,
                 total_searches=len(rows),
                 successful_searches=len(found),
-                success_rate=len(found) / len(rows) if rows else 0.0,
+                success_rate=len(found) / len(rows),
                 mean_walk_steps=_mean(r.walk_steps for r in found),
                 mean_route_length=_mean(r.route_length for r in found),
                 mean_refined_length=_mean(refined),
                 max_refined_length=max(refined) if refined else None,
-                fraction_under_10=(
-                    sum(1 for r in found if r.walk_steps < 10) / len(found)
-                    if found
-                    else None
-                ),
+                fraction_under_10=_mean(r.walk_steps < 10 for r in found),
                 mean_consults=_mean(r.consults for r in found),
                 length_histogram=dict(sorted(histogram.items())),
                 oracle_mean_shortest_path=_mean(r.oracle_distance for r in found),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import gc
 import math
 import operator
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -330,18 +330,12 @@ def degree_stats(g: Graph) -> DegreeStats:
     """
     if g.node_count < 2:
         raise ConfigError("degree statistics require at least 2 nodes")
-    histogram: dict[int, int] = {}
-    for d in g.degrees:
-        histogram[d] = histogram.get(d, 0) + 1
-    histogram = dict(sorted(histogram.items()))
-    min_degree = min(histogram)
-    max_degree = max(histogram)
-    exponent = _fit_exponent(histogram)
+    histogram = dict(sorted(Counter(g.degrees).items()))
     return DegreeStats(
         histogram=histogram,
-        min_degree=min_degree,
-        max_degree=max_degree,
-        fitted_exponent=exponent,
+        min_degree=min(histogram),
+        max_degree=max(histogram),
+        fitted_exponent=_fit_exponent(histogram),
     )
 
 

@@ -110,14 +110,18 @@ def giant_component(g: Graph, id_map: IdMap) -> tuple[Graph, IdMap]:
     file that holds only this component.  A connected graph comes back as
     is.
     """
-    giant = max(components(g), key=len, default=[])
-    if len(giant) == g.node_count:
+    return _component(g, id_map, max(components(g), key=len, default=[]))
+
+
+def _component(g: Graph, id_map: IdMap, nodes: list[int]) -> tuple[Graph, IdMap]:
+    # One component of ``g``, given by its nodes, as a graph of its own.
+    if len(nodes) == g.node_count:
         return g, id_map
     names = id_map.internal_to_external
-    position = {u: p for p, u in enumerate(giant)}
+    position = {u: p for p, u in enumerate(nodes)}
     return _indexed(
-        {names[u]: p for p, u in enumerate(giant)},
-        [[position[v] for v in g.adjacency[u]] for u in giant],
+        {names[u]: p for p, u in enumerate(nodes)},
+        [[position[v] for v in g.adjacency[u]] for u in nodes],
     )
 
 

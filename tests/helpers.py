@@ -2,7 +2,17 @@
 
 import random
 
-from degreesearch import EdgeListError, Graph, IdMap, VariantSpec, build_graph
+from degreesearch import (
+    BaConfig,
+    EdgeListError,
+    Graph,
+    IdMap,
+    SearchRecord,
+    VariantSpec,
+    bfs_distances,
+    build_graph,
+    shortest_path,
+)
 from degreesearch.graphs import components
 
 # The seven variants of the canonical acceptance plan.
@@ -15,6 +25,16 @@ CANONICAL_VARIANTS = (
     VariantSpec(visibility_h=2, consult_budget_c=5),
     VariantSpec(visibility_h=2, refine=True),
 )
+
+
+def star5():
+    """Hub 0 joined to leaves 1..4."""
+    return build_graph([(0, i) for i in range(1, 5)], 5)
+
+
+def path(n):
+    """The path 0 - 1 - ... - (n - 1)."""
+    return build_graph([(i, i + 1) for i in range(n - 1)], n)
 
 
 def random_graph(rng, n, p, ensure_connected=False):
@@ -228,3 +248,111 @@ def summarize_csv_rows(rows):
             ),
         }
     return out
+
+
+def _fold(*parts):
+    """splitmix64 over the parts in turn: the seed of one pair stream or search."""
+    mask = (1 << 64) - 1
+    acc = 0
+    for part in parts:
+        x = ((acc ^ (part & mask)) + 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        acc = x ^ (x >> 31)
+    return acc
+
+
+def reference_walk(g, s, t, variant, seed):
+    """The plain definition of one search: ``(outcome, walk, via, consults)``.
+
+    At each position: stop if the target is within ``h`` hops; else ask up
+    to ``c`` neighbors never occupied nor asked before, highest degree
+    first then lowest ID, and stop at the first that has the target within
+    two hops; else give up once the moves reach the cap; else enter the
+    highest-degree neighbor never occupied (a uniform ``randrange`` pick
+    among several tied, by ascending ID); else fall back to the node this
+    one was first entered from, or give up at the source.
+    """
+    # The graph is undirected, so distances from the target answer each
+    # ``khop_contains(g, x, t, h)`` with one BFS per search.
+    to_target = bfs_distances(g, t)
+
+    def sees(x, h):
+        return to_target[x] is not None and to_target[x] <= h
+
+    cap = g.node_count if variant.step_cap is None else variant.step_cap
+    rng = random.Random(seed)
+    walk = [s]
+    entered_from = {s: None}
+    asked = set()
+    while True:
+        pos = walk[-1]
+        if sees(pos, variant.visibility_h):
+            return "found", walk, pos, len(asked)
+        ranked = sorted(g.neighbors(pos), key=lambda w: (-g.degree(w), w))
+        fresh = [w for w in ranked if w not in entered_from]
+        for w in [w for w in fresh if w not in asked][: variant.consult_budget_c]:
+            asked.add(w)
+            if sees(w, 2):
+                return "found", walk, w, len(asked)
+        if len(walk) - 1 >= cap:
+            return "step_cap_exhausted", walk, None, len(asked)
+        if fresh:
+            tied = [w for w in fresh if g.degree(w) == g.degree(fresh[0])]
+            nxt = tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
+            entered_from[nxt] = pos
+        elif entered_from[pos] is not None:
+            nxt = entered_from[pos]
+        else:
+            return "stuck_at_source", walk, None, len(asked)
+        walk.append(nxt)
+
+
+def reference_refined_length(g, nodes):
+    """Hops after refinement: from the target back, jump to the earliest
+    route node adjacent to the current one, until the source."""
+    kept = [len(nodes) - 1]
+    while kept[-1] > 0:
+        kept.append(next(i for i in range(kept[-1]) if g.has_edge(nodes[i], nodes[kept[-1]])))
+    return len(kept) - 1
+
+
+def reference_records(plan):
+    """The plain definition of ``run_experiment(plan).records``.
+
+    Each round samples its pairs from seed ``fold(master, 1, round)``:
+    ``s`` then ``t`` uniform, ``t`` redrawn while it equals ``s``.  Each
+    (pair, variant) search runs ``reference_walk`` seeded with
+    ``fold(master, 2, round, pair, variant index)``.  A found route is the
+    loop erasure of the walk, the node that answered and the
+    ``shortest_path`` tail from it; the oracle is ``bfs_distances``.
+    """
+    if isinstance(plan.topology, BaConfig):
+        g = reference_generate_ba(plan.topology)
+    else:
+        g = reference_load_edge_list(plan.topology)[0]
+    records = []
+    for round_index in range(plan.rounds):
+        rng = random.Random(_fold(plan.master_seed, 1, round_index))
+        for pair_index in range(plan.pairs_per_round):
+            s = rng.randrange(g.node_count)
+            t = rng.randrange(g.node_count)
+            while t == s:
+                t = rng.randrange(g.node_count)
+            oracle = bfs_distances(g, s)[t]
+            for vi, var in enumerate(plan.variants):
+                seed = _fold(plan.master_seed, 2, round_index, pair_index, vi)
+                outcome, walk, via, consults = reference_walk(g, s, t, var, seed)
+                route_length = refined_length = None
+                if outcome == "found":
+                    route = loop_erase([*walk, *shortest_path(g, via, t).nodes])
+                    route_length = len(route) - 1
+                    if var.refine:
+                        refined_length = reference_refined_length(g, route)
+                records.append(
+                    SearchRecord(
+                        round_index, pair_index, s, t, var.label, outcome,
+                        len(walk) - 1, route_length, refined_length, consults, oracle,
+                    )
+                )
+    return records

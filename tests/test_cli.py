@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from degreesearch import cli, load_edge_list
+from degreesearch import cli, load_edge_list, topology
 from degreesearch.cli import main
+from degreesearch.graphs import components
 
 
 def test_generate_writes_loadable_file(tmp_path, capsys):
@@ -22,6 +23,23 @@ def test_generate_writes_loadable_file(tmp_path, capsys):
     g, _ = load_edge_list(out)
     assert g.node_count == 50
     assert g.edge_count == 3 + 2 * 47
+
+
+@pytest.mark.parametrize(
+    "options, edges",
+    [
+        # The default seed clique has max(3, m) nodes: C(3, 2) + 1 * 57.
+        (["--m-attach", "1"], 60),
+        (["--m-attach", "2", "--seed-size", "6"], 15 + 2 * 54),
+        (["--m-attach", "5"], 10 + 5 * 55),
+    ],
+    ids=["m1", "m2-seed-size6", "m5"],
+)
+def test_generate_seed_clique_size(tmp_path, capsys, options, edges):
+    out = tmp_path / "g.txt"
+    assert main(["generate", "--nodes", "60", *options, "--out", str(out)]) == 0
+    assert f"wrote 60 nodes, {edges} edges" in capsys.readouterr().out
+    assert load_edge_list(out)[0].edge_count == edges
 
 
 def test_generate_deterministic_bytes(tmp_path):
@@ -250,6 +268,29 @@ def test_stats_reads_topology_once(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "giant component: 3 nodes (60.0%), 2 component(s)" in out
     assert "mean shortest path (10 sampled pairs):" in out
+
+
+def test_stats_finds_components_once(tmp_path, capsys, monkeypatch):
+    graph_file = tmp_path / "two.txt"
+    graph_file.write_text("0 1\n2 3\n3 4\n", encoding="utf-8")
+    argv = ["stats", "--topology", str(graph_file), "--pairs", "10"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    calls = []
+
+    def counting_components(g):
+        calls.append(g.node_count)
+        return components(g)
+
+    monkeypatch.setattr(cli, "components", counting_components)
+    monkeypatch.setattr(topology, "components", counting_components)
+    assert main(argv) == 0
+    assert calls == [5]
+    assert capsys.readouterr().out == expected
+    assert expected.splitlines()[5:7] == [
+        "giant component: 3 nodes (60.0%), 2 component(s)",
+        "mean shortest path (10 sampled pairs): 1.400",
+    ]
 
 
 def test_stats_rejects_negative_pairs(tmp_path, capsys):

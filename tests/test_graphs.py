@@ -23,19 +23,11 @@ from degreesearch import (
 )
 from degreesearch.graphs import _fit_exponent, components
 
-from helpers import check_graph_invariants, floyd_warshall, random_graph
+from helpers import check_graph_invariants, floyd_warshall, path, random_graph, star5
 
 
 def built(cache):
     return [u for u, entry in enumerate(cache) if entry is not None]
-
-
-def star5():
-    return build_graph([(0, i) for i in range(1, 5)], 5)
-
-
-def path4():
-    return build_graph([(0, 1), (1, 2), (2, 3)], 4)
 
 
 # --- build_graph ---
@@ -199,7 +191,7 @@ def test_bfs_star_from_leaf():
 
 
 def test_bfs_path_from_end():
-    assert bfs_distances(path4(), 0) == [0, 1, 2, 3]
+    assert bfs_distances(path(4), 0) == [0, 1, 2, 3]
 
 
 def test_bfs_unreachable_is_none():
@@ -209,9 +201,9 @@ def test_bfs_unreachable_is_none():
 
 def test_bfs_source_out_of_range():
     with pytest.raises(NodeIdError):
-        bfs_distances(path4(), 4)
+        bfs_distances(path(4), 4)
     with pytest.raises(NodeIdError):
-        bfs_distances(path4(), -1)
+        bfs_distances(path(4), -1)
 
 
 def test_bfs_matches_brute_force_on_random_graphs():
@@ -269,7 +261,7 @@ def test_components_match_brute_force_reachability():
 
 
 def test_shortest_path_source_equals_target():
-    route = shortest_path(path4(), 2, 2)
+    route = shortest_path(path(4), 2, 2)
     assert route.nodes == (2,)
     assert route.length == 0
 
@@ -370,7 +362,7 @@ def test_pair_distance_stops_at_first_meeting():
 
 
 def test_pair_distance_small_cases():
-    g = path4()
+    g = path(4)
     assert pair_distance(g, 1, 1) == 0
     assert pair_distance(g, 0, 1) == 1
     assert pair_distance(g, 0, 3) == 3

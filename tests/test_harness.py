@@ -27,7 +27,7 @@ from degreesearch import (
     sample_pairs,
 )
 
-from helpers import CANONICAL_VARIANTS, summarize_csv_rows
+from helpers import CANONICAL_VARIANTS, reference_records, summarize_csv_rows
 
 HEADER = (
     "round,pair_index,s,t,variant,outcome,walk_steps,"
@@ -508,3 +508,50 @@ def test_canonical_variants_output_bytes_pinned(tmp_path, workers):
     emit_histogram(result.records, 10, tmp_path / "histogram.csv")
     for name, digest in PINNED_DIGESTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# --- records against the plain definitions ---
+
+# The canonical variants plus h3 with refinement and tight movement caps.
+REFERENCE_VARIANTS = CANONICAL_VARIANTS + (
+    VariantSpec(visibility_h=3, refine=True),
+    VariantSpec(visibility_h=2, consult_budget_c=1, step_cap=10, refine=True, label="h2c1cap10"),
+    VariantSpec(visibility_h=1, step_cap=3, label="h1cap3"),
+)
+
+
+def write_three_components(path):
+    # The giant component has numeric labels and another string ones, so
+    # the file orders its labels by string and the giant by number.
+    lines = []
+    for n, m, label in ((300, 2, "{}"), (40, 1, "x{}"), (12, 3, "{}000")):
+        g = generate_ba(BaConfig(n=n, m_attach=m, seed_size=3, rng_seed=n))
+        for u in range(n):
+            for v in g.adjacency[u]:
+                if u < v:
+                    lines.append(f"{label.format(u + 7)} {label.format(v + 7)}\n")
+    random.Random(1).shuffle(lines)
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def test_records_match_the_reference_harness(tmp_path):
+    graph_file = tmp_path / "three.txt"
+    write_three_components(graph_file)
+    topologies = [
+        BaConfig(n=n, m_attach=m, seed_size=max(3, m), rng_seed=m)
+        for n, m in ((200, 1), (300, 2), (250, 3), (200, 4))
+    ]
+    for topology in [*topologies, str(graph_file)]:
+        plan = ExperimentPlan(
+            topology=topology,
+            variants=REFERENCE_VARIANTS,
+            pairs_per_round=60,
+            rounds=2,
+            master_seed=3,
+        )
+        expected = reference_records(plan)
+        for workers in (1, 2):
+            got = run_experiment(dataclasses.replace(plan, workers=workers)).records
+            assert len(got) == len(expected)
+            for record, reference in zip(got, expected):
+                assert record == reference, workers

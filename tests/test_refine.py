@@ -13,15 +13,11 @@ from degreesearch import (
     refine_route,
 )
 
-from helpers import pivot_indices, random_graph, random_simple_path
+from helpers import path, pivot_indices, random_graph, random_simple_path
 
 
 def cycle(n):
     return build_graph([(i, (i + 1) % n) for i in range(n)], n)
-
-
-def path(n):
-    return build_graph([(i, i + 1) for i in range(n - 1)], n)
 
 
 def test_two_node_route_unchanged():

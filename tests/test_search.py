@@ -23,17 +23,13 @@ from degreesearch import (
 )
 
 from degreesearch.graphs import components
-from helpers import CANONICAL_VARIANTS, loop_erase, random_graph
+from helpers import CANONICAL_VARIANTS, loop_erase, random_graph, star5
 
 
 # Every (visibility_h, consult_budget_c) walk configuration the canonical plan runs.
 WALK_CONFIGS = tuple(
     dict.fromkeys((v.visibility_h, v.consult_budget_c) for v in CANONICAL_VARIANTS)
 )
-
-
-def star5():
-    return build_graph([(0, i) for i in range(1, 5)], 5)
 
 
 def replay(g, s, t, cfg, trace):
