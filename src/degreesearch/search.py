@@ -157,20 +157,12 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
     # Per-node caches, each entry built on first use: ``sets[x] or fill(x)``.
     ranked, rank = g.neighbors_by_degree, g._fill_ranking
     sets, fill = g.neighbor_sets, g._fill_neighbor_set
-    # "Is the target within h hops of x" from neighbor-set lookups.  One
-    # hop is ``x in near``: x can only be the target itself at the source,
-    # since any other walk enters it from a neighbor, which sees it first.
+    # "Is the target within h hops of x" from one set per search: ``ball``
+    # is every node within min(h, 2) hops of the target, and x is within
+    # three hops when a neighbor of x is in it.  A walk meets the target
+    # itself only at the source: it enters nodes from neighbors that see it.
     near = sets[target] or fill(target)
-
-    def sees(x: int) -> bool:
-        # Two hops, and for h = 3 three: the caller tests one hop first.
-        around = sets[x] or fill(x)
-        if not near.isdisjoint(around):
-            return True
-        if h == 2:
-            return False
-        small, large = (near, around) if len(near) <= len(around) else (around, near)
-        return any(not (sets[b] or fill(b)).isdisjoint(large) for b in small)
+    ball = near.union(*map(g.adjacency.__getitem__, near)) if h > 1 else near
 
     occupied = {source}
     sequence = [source]
@@ -182,7 +174,7 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
 
     while found_via is None:
         # (0) arrival check
-        if current in near or (h > 1 and sees(current)):
+        if current in ball or (h == 3 and not ball.isdisjoint(sets[current] or fill(current))):
             found_via = current
             break
         nbrs = ranked[current] or rank(current)
@@ -193,7 +185,7 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
                 if w in occupied or w in asked:
                     continue
                 asked.add(w)
-                if w in near or sees(w):
+                if w in ball:
                     found_via = w
                     break
                 quota -= 1

@@ -15,6 +15,7 @@ from degreesearch import (
     build_graph,
     generate_ba,
     BaConfig,
+    Graph,
     khop_contains,
     materialize_route,
     pair_distance,
@@ -199,24 +200,29 @@ def test_two_hop_visibility_stops_early():
 
 def test_stuck_at_source():
     # Path 0-1-2 plus isolated target 3: walk out, deflect home, give up.
+    # Nothing is within any h hops of the target, so its ball is empty and
+    # every walk configuration takes the same walk; those that consult ask
+    # each of the other two nodes once.
     g = build_graph([(0, 1), (1, 2)], 4)
-    cfg = SearchConfig(visibility_h=2, consult_budget_c=2, step_cap=10)
-    trace = run_search(g, 0, 3, cfg)
-    assert trace.outcome is SearchOutcome.STUCK_AT_SOURCE
-    assert trace.occupied_sequence == (0, 1, 2, 1, 0)
-    assert trace.forwards == 2
-    assert trace.deflections == 2
-    assert trace.consults == 2
-    assert trace.found_via is None
+    for h, c in WALK_CONFIGS:
+        cfg = SearchConfig(visibility_h=h, consult_budget_c=c, step_cap=10)
+        trace = run_search(g, 0, 3, cfg)
+        assert trace.outcome is SearchOutcome.STUCK_AT_SOURCE
+        assert trace.occupied_sequence == (0, 1, 2, 1, 0)
+        assert trace.forwards == 2
+        assert trace.deflections == 2
+        assert trace.consults == (2 if c else 0)
+        assert trace.found_via is None
 
 
 def test_cap_fires_before_stuck_when_exact():
-    # Same walk with the default cap (N = 4): the four moves spend the cap
+    # Same walks with the default cap (N = 4): the four moves spend the cap
     # right as the request returns home, so exhaustion wins over stuck.
     g = build_graph([(0, 1), (1, 2)], 4)
-    trace = run_search(g, 0, 3, SearchConfig(visibility_h=2))
-    assert trace.outcome is SearchOutcome.STEP_CAP_EXHAUSTED
-    assert trace.walk_steps == 4
+    for h, c in WALK_CONFIGS:
+        trace = run_search(g, 0, 3, SearchConfig(visibility_h=h, consult_budget_c=c))
+        assert trace.outcome is SearchOutcome.STEP_CAP_EXHAUSTED
+        assert trace.walk_steps == 4
 
 
 def test_invalid_ids_rejected():
@@ -341,10 +347,10 @@ def test_replay_ba_graphs_all_walk_configs():
 
 
 def test_replay_visibility_extremes():
-    # Where the walk's neighbor-set visibility checks differ most from a
-    # ball around the target: hubs as targets and sources, degree-1
-    # targets, targets that are isolated or in a small component, and long
-    # walks, under every walk configuration.
+    # Where the walk's target balls are least typical: hubs as targets (the
+    # largest balls) and as sources, degree-1 targets, targets that are
+    # isolated (an empty ball) or in a small component, and long walks,
+    # under every walk configuration.
     cases = []
     for m in (1, 2, 3):
         ba = generate_ba(BaConfig(n=120, m_attach=m, seed_size=3, rng_seed=m))
@@ -404,19 +410,24 @@ def test_rng_built_only_when_a_tie_is_broken(monkeypatch):
 
 
 def test_searches_build_views_only_where_they_look():
-    # The walk ranks only the nodes it occupies and builds neighbor sets
-    # only for nodes it checks, so few of a large graph's entries fill.
-    g = generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5))
-    rng = random.Random(5)
-    occupied = set()
-    for seed in range(50):
-        s, t = rng.randrange(g.node_count), rng.randrange(g.node_count)
-        cfg = SearchConfig(visibility_h=2, consult_budget_c=5, rng_seed=seed)
-        occupied.update(run_search(g, s, t, cfg).occupied_sequence)
-    ranked = {u for u, entry in enumerate(g.neighbors_by_degree) if entry is not None}
-    assert ranked and ranked <= occupied
-    sets = sum(entry is not None for entry in g.neighbor_sets)
-    assert len(ranked) <= sets < g.node_count // 10
+    # The walk ranks only the nodes it occupies.  Its two-hop checks read
+    # one ball around each search's target, so an h = 2 walk builds the
+    # neighbor set of its target alone; an h = 3 walk also builds the sets
+    # of the nodes it occupies, to meet the ball one hop further out.
+    adjacency = generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5)).adjacency
+    for h, c in ((2, 5), (3, 0)):
+        g = Graph(len(adjacency), adjacency)
+        rng = random.Random(5)
+        targets, occupied = set(), set()
+        for seed in range(50):
+            s, t = rng.randrange(g.node_count), rng.randrange(g.node_count)
+            cfg = SearchConfig(visibility_h=h, consult_budget_c=c, rng_seed=seed)
+            occupied.update(run_search(g, s, t, cfg).occupied_sequence)
+            targets.add(t)
+        ranked = {u for u, entry in enumerate(g.neighbors_by_degree) if entry is not None}
+        assert ranked and ranked <= occupied
+        built = {u for u, entry in enumerate(g.neighbor_sets) if entry is not None}
+        assert built and built <= (targets if h == 2 else targets | occupied)
 
 
 # --- determinism and ordering properties ---
