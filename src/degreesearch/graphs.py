@@ -45,12 +45,13 @@ class Graph:
         adjacency: Per-node tuple of neighbor IDs, sorted ascending.
             Symmetric, free of self-loops and duplicates.
 
-    ``neighbor_sets`` and ``neighbors_by_degree`` are per-node caches,
-    ``None`` until their node's entry is first asked for and filled by
-    ``_fill_neighbor_set`` / ``_fill_ranking``; hot loops read them as
-    ``cache[u] or fill(u)``.  Like ``degrees`` they are derived from the
-    two fields: equality and hashing ignore them, and a pickled copy
-    answers every lookup the same way whatever had been built.
+    ``neighbors_by_degree`` and ``neighbor_sets`` are per-node caches,
+    ``None`` until their node's entry is first asked for.  The walk reads
+    a ranking as ``ranked[u] or fill(u)``, the cache first and
+    ``_fill_ranking`` on a miss.  ``neighbor_sets`` backs ``neighbor_set``,
+    the one accessor that fills it.  Like ``degrees`` they are derived
+    from the two fields: equality and hashing ignore them, and a pickled
+    copy answers every lookup the same way whatever had been built.
     """
 
     node_count: int
@@ -73,10 +74,6 @@ class Graph:
         """Neighbors of each node sorted by descending degree, ties by ID."""
         return [None] * self.node_count
 
-    def _fill_neighbor_set(self, node: int) -> frozenset[int]:
-        nbrs = self.neighbor_sets[node] = frozenset(self.adjacency[node])
-        return nbrs
-
     def _fill_ranking(self, node: int) -> tuple[int, ...]:
         # The sort is stable even when reversed, so equal degrees keep the
         # ascending ID order of the adjacency tuple.
@@ -95,12 +92,14 @@ class Graph:
 
     def neighbor_set(self, node: int) -> frozenset[int]:
         _check_node(self, node)
-        return self.neighbor_sets[node] or self._fill_neighbor_set(node)
+        nbrs = self.neighbor_sets[node]
+        if nbrs is None:  # not ``or``: an isolated node's set is empty
+            nbrs = self.neighbor_sets[node] = frozenset(self.adjacency[node])
+        return nbrs
 
     def has_edge(self, u: int, v: int) -> bool:
-        _check_node(self, u)
         _check_node(self, v)
-        return v in (self.neighbor_sets[u] or self._fill_neighbor_set(u))
+        return v in self.neighbor_set(u)
 
 
 @dataclass(frozen=True)

@@ -153,16 +153,15 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
     step_cap = cfg.step_cap if cfg.step_cap is not None else g.node_count
     rng: random.Random | None = None  # built at the first tie, few walks meet one
 
-    degrees = g.degrees
-    # Per-node caches, each entry built on first use: ``sets[x] or fill(x)``.
-    ranked, rank = g.neighbors_by_degree, g._fill_ranking
-    sets, fill = g.neighbor_sets, g._fill_neighbor_set
+    adjacency, degrees = g.adjacency, g.degrees
+    # The degree ranking of each occupied node, built on first use.
+    ranked, fill = g.neighbors_by_degree, g._fill_ranking
     # "Is the target within h hops of x" from one set per search: ``ball``
     # is every node within min(h, 2) hops of the target, and x is within
     # three hops when a neighbor of x is in it.  A walk meets the target
     # itself only at the source: it enters nodes from neighbors that see it.
-    near = sets[target] or fill(target)
-    ball = near.union(*map(g.adjacency.__getitem__, near)) if h > 1 else near
+    near = adjacency[target]
+    ball = set(near).union(*map(adjacency.__getitem__, near)) if h > 1 else set(near)
 
     occupied = {source}
     sequence = [source]
@@ -174,10 +173,10 @@ def run_search(g: Graph, source: int, target: int, cfg: SearchConfig) -> WalkTra
 
     while found_via is None:
         # (0) arrival check
-        if current in ball or (h == 3 and not ball.isdisjoint(sets[current] or fill(current))):
+        if current in ball or (h == 3 and not ball.isdisjoint(adjacency[current])):
             found_via = current
             break
-        nbrs = ranked[current] or rank(current)
+        nbrs = ranked[current] or fill(current)
         # (0b) consultation, highest degree first, never the same node twice
         if budget:
             quota = budget
@@ -256,15 +255,14 @@ def _tail(g: Graph, via: int, target: int) -> list[int]:
     if via == target:
         return []
     adjacency = g.adjacency
-    sets, fill = g.neighbor_sets, g._fill_neighbor_set
-    near = sets[via] or fill(via)
+    near = g.neighbor_set(via)
     if target in near:
         return [target]
     for m in adjacency[target]:
         if m in near:
             return [m, target]
     for b in adjacency[target]:
-        if not near.isdisjoint(sets[b] or fill(b)):
+        if not near.isdisjoint(g.neighbor_set(b)):
             a = next(a for a in adjacency[b] if a in near)
             return [a, b, target]
     raise RouteError(

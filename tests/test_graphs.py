@@ -162,6 +162,8 @@ def test_isolated_node_has_empty_views():
         for v in range(4):
             assert not g.has_edge(2, v) and not g.has_edge(v, 2)
     assert g.neighbor_sets[2] == frozenset() and g.neighbors_by_degree[2] == ()
+    # The empty set is cached too, not rebuilt on each call.
+    assert g.neighbor_set(2) is g.neighbor_set(2) is g.neighbor_sets[2]
 
 
 def test_pickle_keeps_partly_built_views_equivalent():

@@ -410,24 +410,22 @@ def test_rng_built_only_when_a_tie_is_broken(monkeypatch):
 
 
 def test_searches_build_views_only_where_they_look():
-    # The walk ranks only the nodes it occupies.  Its two-hop checks read
-    # one ball around each search's target, so an h = 2 walk builds the
-    # neighbor set of its target alone; an h = 3 walk also builds the sets
-    # of the nodes it occupies, to meet the ball one hop further out.
+    # The walk ranks only the nodes it occupies and builds no neighbor
+    # set: its visibility checks read one ball around each search's
+    # target, built from adjacency rows, and meet it with the rows of the
+    # nodes it occupies.
     adjacency = generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5)).adjacency
-    for h, c in ((2, 5), (3, 0)):
+    for h, c in ((1, 0), (2, 5), (3, 0)):
         g = Graph(len(adjacency), adjacency)
         rng = random.Random(5)
-        targets, occupied = set(), set()
+        occupied = set()
         for seed in range(50):
             s, t = rng.randrange(g.node_count), rng.randrange(g.node_count)
             cfg = SearchConfig(visibility_h=h, consult_budget_c=c, rng_seed=seed)
             occupied.update(run_search(g, s, t, cfg).occupied_sequence)
-            targets.add(t)
         ranked = {u for u, entry in enumerate(g.neighbors_by_degree) if entry is not None}
         assert ranked and ranked <= occupied
-        built = {u for u, entry in enumerate(g.neighbor_sets) if entry is not None}
-        assert built and built <= (targets if h == 2 else targets | occupied)
+        assert g.neighbor_sets == [None] * g.node_count
 
 
 # --- determinism and ordering properties ---
@@ -633,6 +631,42 @@ def test_materialize_tail_matches_shortest_path():
                 tail_lengths.add(len(oracle) - 1)
     assert tail_lengths == {0, 1, 2, 3}
     assert consult_found > 0
+
+
+def test_tail_asks_only_for_via_and_target_neighbor_sets(monkeypatch):
+    # The walk asks for no neighbor set.  The tail asks for the set of
+    # ``via``, and on a three-hop tail also for those of the target's
+    # neighbors, to find the middle node.
+    asked = []
+    neighbor_set = Graph.neighbor_set
+
+    def recording(self, node):
+        asked.append(node)
+        return neighbor_set(self, node)
+
+    monkeypatch.setattr(Graph, "neighbor_set", recording)
+    three_hop = 0
+    for m in (1, 2, 3):
+        g = generate_ba(BaConfig(n=1000, m_attach=m, seed_size=3, rng_seed=m))
+        rng = random.Random(m)
+        for i in range(40):
+            s, t = rng.randrange(g.node_count), rng.randrange(g.node_count)
+            for h, c in WALK_CONFIGS:
+                cfg = SearchConfig(visibility_h=h, consult_budget_c=c, rng_seed=i)
+                trace = run_search(g, s, t, cfg)
+                assert asked == []
+                if trace.outcome is not SearchOutcome.FOUND:
+                    continue
+                materialize_route(g, trace, t)
+                via = trace.found_via
+                hops = pair_distance(g, via, t)
+                if hops == 3:
+                    three_hop += 1
+                    assert asked[0] == via and set(asked[1:]) <= set(g.adjacency[t])
+                else:
+                    assert asked == ([via] if hops else [])
+                asked.clear()
+    assert three_hop > 0
 
 
 def found_trace(sequence, via):
