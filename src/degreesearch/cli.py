@@ -10,7 +10,7 @@ from .errors import ConfigError, DegreeSearchError
 from .experiment import ExperimentPlan, VariantSpec, emit_csv, emit_histogram, run_experiment, sample_pairs
 from .generate import BaConfig, generate_ba
 from .graphs import components, degree_stats, pair_distance
-from .topology import _component, load_edge_list, save_edge_list
+from .topology import _giant, load_edge_list, save_edge_list
 
 
 def _parse_ba(text: str) -> tuple[int, int]:
@@ -73,14 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ba_config(nodes: int, m_attach: int, seed: int, seed_size: int | None = None) -> BaConfig:
-    if seed_size is None:
-        seed_size = max(3, m_attach)
-    return BaConfig(n=nodes, m_attach=m_attach, seed_size=seed_size, rng_seed=seed)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
-    g = generate_ba(_ba_config(args.nodes, args.m_attach, args.seed, args.seed_size))
+    g = generate_ba(BaConfig(args.nodes, args.m_attach, args.seed_size, args.seed))
     save_edge_list(g, args.out)
     print(f"wrote {g.node_count} nodes, {g.edge_count} edges to {args.out}")
     return 0
@@ -88,7 +82,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.ba is not None:
-        topology: BaConfig | str = _ba_config(*args.ba, args.seed)
+        topology: BaConfig | str = BaConfig(*args.ba, rng_seed=args.seed)
     else:
         topology = args.topology
     variant = VariantSpec(
@@ -137,7 +131,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     full, id_map = load_edge_list(args.topology, take_giant_component=False)
     stats = degree_stats(full)
     parts = components(full)
-    giant = max(parts, key=len)
+    giant, _ = _giant(full, id_map, parts)
     print(f"nodes: {full.node_count}")
     print(f"edges: {full.edge_count}")
     print(f"min degree: {stats.min_degree}")
@@ -147,14 +141,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     else:
         print(f"fitted exponent: {stats.fitted_exponent:.3f}")
     print(
-        f"giant component: {len(giant)} nodes ({100.0 * len(giant) / full.node_count:.1f}%), "
+        f"giant component: {giant.node_count} nodes "
+        f"({100.0 * giant.node_count / full.node_count:.1f}%), "
         f"{len(parts)} component(s)"
     )
     if args.pairs > 0:
         # A loaded file always holds an edge, so its giant component has two nodes.
-        giant_graph, _ = _component(full, id_map, giant)
-        pairs = sample_pairs(giant_graph, args.pairs, args.seed)
-        distances = [pair_distance(giant_graph, s, t) for s, t in pairs]
+        pairs = sample_pairs(giant, args.pairs, args.seed)
+        distances = [pair_distance(giant, s, t) for s, t in pairs]
         mean = sum(distances) / len(distances)
         print(f"mean shortest path ({len(pairs)} sampled pairs): {mean:.3f}")
     print("degree histogram:")

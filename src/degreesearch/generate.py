@@ -18,16 +18,19 @@ class BaConfig:
     Attributes:
         n: Total number of nodes.
         m_attach: Edges each newcomer attaches to existing nodes.
-        seed_size: Size of the initial complete clique.
+        seed_size: Size of the initial complete clique; ``None`` means
+            ``max(3, m_attach)``.
         rng_seed: Seed for the generator's private RNG.
     """
 
     n: int
     m_attach: int = 3
-    seed_size: int = 3
+    seed_size: int | None = None
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed_size is None:
+            object.__setattr__(self, "seed_size", max(3, self.m_attach))
         if not 1 <= self.m_attach <= self.seed_size < self.n:
             raise ConfigError(
                 "require 1 <= m_attach <= seed_size < n, got "

@@ -245,9 +245,10 @@ def _tail(g: Graph, via: int, target: int) -> list[int]:
     """The nodes after ``via`` on the reference shortest path to ``target``.
 
     The search stops only once ``via`` sees the target, so the distance is
-    at most 3 and neighbor-set lookups replace a BFS.  Walking back from
-    the target, each step takes the smallest-ID neighbor one hop closer to
-    ``via``: the same rule as the BFS oracle in ``graphs``.
+    at most 3 and the neighbor set of ``via``, met with adjacency rows,
+    replaces a BFS.  Walking back from the target, each step takes the
+    smallest-ID neighbor one hop closer to ``via``: the same rule as the
+    BFS oracle in ``graphs``.
 
     Raises:
         RouteError: If the target is more than 3 hops from ``via``.
@@ -262,7 +263,7 @@ def _tail(g: Graph, via: int, target: int) -> list[int]:
         if m in near:
             return [m, target]
     for b in adjacency[target]:
-        if not near.isdisjoint(g.neighbor_set(b)):
+        if not near.isdisjoint(adjacency[b]):
             a = next(a for a in adjacency[b] if a in near)
             return [a, b, target]
     raise RouteError(

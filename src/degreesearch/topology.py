@@ -110,11 +110,12 @@ def giant_component(g: Graph, id_map: IdMap) -> tuple[Graph, IdMap]:
     file that holds only this component.  A connected graph comes back as
     is.
     """
-    return _component(g, id_map, max(components(g), key=len, default=[]))
+    return _giant(g, id_map, components(g))
 
 
-def _component(g: Graph, id_map: IdMap, nodes: list[int]) -> tuple[Graph, IdMap]:
-    # One component of ``g``, given by its nodes, as a graph of its own.
+def _giant(g: Graph, id_map: IdMap, parts: list[list[int]]) -> tuple[Graph, IdMap]:
+    # ``giant_component`` with the components of ``g`` already found.
+    nodes = max(parts, key=len, default=[])
     if len(nodes) == g.node_count:
         return g, id_map
     names = id_map.internal_to_external

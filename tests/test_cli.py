@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from degreesearch import cli, load_edge_list, topology
+from degreesearch import BaConfig, cli, generate_ba, load_edge_list, topology
 from degreesearch.cli import main
-from degreesearch.graphs import components
+from degreesearch.experiment import sample_pairs
+from degreesearch.graphs import components, pair_distance
 
 
 def test_generate_writes_loadable_file(tmp_path, capsys):
@@ -39,7 +40,11 @@ def test_generate_seed_clique_size(tmp_path, capsys, options, edges):
     out = tmp_path / "g.txt"
     assert main(["generate", "--nodes", "60", *options, "--out", str(out)]) == 0
     assert f"wrote 60 nodes, {edges} edges" in capsys.readouterr().out
-    assert load_edge_list(out)[0].edge_count == edges
+    loaded = load_edge_list(out)[0]
+    assert loaded.edge_count == edges
+    # The CLI adds no rule of its own: the file is the library's default graph.
+    m, *seed_size = map(int, options[1::2])
+    assert loaded.adjacency == generate_ba(BaConfig(60, m, *seed_size)).adjacency
 
 
 def test_generate_deterministic_bytes(tmp_path):
@@ -291,6 +296,21 @@ def test_stats_finds_components_once(tmp_path, capsys, monkeypatch):
         "giant component: 3 nodes (60.0%), 2 component(s)",
         "mean shortest path (10 sampled pairs): 1.400",
     ]
+
+
+def test_stats_samples_the_giant_component_topology_picks(tmp_path, capsys):
+    # Two 4-node components tie: a star on 0-3 and a path on 5-8.  Their
+    # mean distances differ, so the printed mean shows which one was sampled.
+    graph_file = tmp_path / "tie.txt"
+    graph_file.write_text("0 1\n0 2\n0 3\n5 6\n6 7\n7 8\n", encoding="utf-8")
+    assert main(["stats", "--topology", str(graph_file), "--pairs", "40", "--seed", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "giant component: 4 nodes (50.0%), 2 component(s)" in out
+    giant, id_map = topology.giant_component(*load_edge_list(graph_file, take_giant_component=False))
+    assert id_map.internal_to_external == ["0", "1", "2", "3"]
+    pairs = sample_pairs(giant, 40, 2)
+    mean = sum(pair_distance(giant, s, t) for s, t in pairs) / len(pairs)
+    assert f"mean shortest path (40 sampled pairs): {mean:.3f}" in out
 
 
 def test_stats_rejects_negative_pairs(tmp_path, capsys):

@@ -134,6 +134,12 @@ def test_config_validation():
         BaConfig(n=0, m_attach=1, seed_size=1)
 
 
+def test_config_seed_clique_defaults_to_max_of_3_and_m():
+    assert BaConfig(60).seed_size == 3
+    assert BaConfig(60, 2).seed_size == 3
+    assert BaConfig(60, 5) == BaConfig(60, 5, 5)
+
+
 def test_hubs_attract_attachment():
     # Degree-proportional choice must leave early nodes far above the floor.
     g = generate_ba(BaConfig(n=2000, m_attach=3, seed_size=3, rng_seed=9))

@@ -538,7 +538,7 @@ def test_records_match_the_reference_harness(tmp_path):
     graph_file = tmp_path / "three.txt"
     write_three_components(graph_file)
     topologies = [
-        BaConfig(n=n, m_attach=m, seed_size=max(3, m), rng_seed=m)
+        BaConfig(n=n, m_attach=m, rng_seed=m)
         for n, m in ((200, 1), (300, 2), (250, 3), (200, 4))
     ]
     for topology in [*topologies, str(graph_file)]:
