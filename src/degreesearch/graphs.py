@@ -59,7 +59,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
+        return tuple(map(len, self.adjacency))
 
     @cached_property
     def edge_count(self) -> int:
@@ -299,17 +299,17 @@ def pair_distance(g: Graph, source: int, target: int) -> int | None:
         if len(level) > len(far_level):
             ball, far_ball, level, far_level = far_ball, ball, far_level, level
         dist += 1
-        nxt: list[int] = []
+        nxt: set[int] = set()
         for u in level:
-            for v in adjacency[u]:
-                if v in far_ball:
-                    # The balls were disjoint until now, so the distance
-                    # exceeds the sum of their radii, dist - 1; v closes a
-                    # path of exactly dist hops.
-                    return dist
-                if v not in ball:
-                    ball.add(v)
-                    nxt.append(v)
+            row = adjacency[u]
+            if not far_ball.isdisjoint(row):
+                # The balls were disjoint until now, so the distance
+                # exceeds the sum of their radii, dist - 1; a node of this
+                # row closes a path of exactly dist hops.
+                return dist
+            nxt.update(row)
+        nxt -= ball
+        ball |= nxt
         level = nxt
     return None
 

@@ -9,6 +9,7 @@ source is reached.  The kept nodes form a much shorter simple path.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import RouteError
@@ -40,8 +41,13 @@ def refine_route(g: Graph, route: Route) -> RefinementResult:
         raise RouteError("route has no nodes")
     for node in nodes:
         _check_node(g, node)
+    # The hops are checked on the sorted adjacency rows; only the nodes the
+    # scan below keeps need a neighbor set.
+    adjacency = g.adjacency
     for a, b in zip(nodes, nodes[1:]):
-        if b not in g.neighbor_set(a):
+        row = adjacency[a]
+        i = bisect_left(row, b)
+        if i == len(row) or row[i] != b:
             raise RouteError(f"route nodes {a} and {b} are not adjacent")
     if len(set(nodes)) != len(nodes):
         raise RouteError("route revisits a node")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Collection
 
 from .errors import EdgeListError
-from .graphs import Graph, _graph_from_rows, components
+from .graphs import Graph, _graph_from_rows, _sorted_unique, components
 
 __all__ = ["IdMap", "giant_component", "load_edge_list", "save_edge_list"]
 
@@ -129,25 +129,28 @@ def _giant(g: Graph, id_map: IdMap, parts: list[list[int]]) -> tuple[Graph, IdMa
 def _indexed(ids: dict[str, int], rows: list[list[int]]) -> tuple[Graph, IdMap]:
     # ``ids`` maps each label to its provisional ID and ``rows[p]`` lists the
     # provisional neighbors of ID ``p``.  The labels alone decide the final
-    # order.  ``ids`` becomes the final label -> ID map in place, and each
-    # row moves to its final position, remapped through ``rank``.
+    # order, and ``ids`` becomes the final label -> ID map in place.
     ordered = _label_order(ids)
     rank = [0] * len(ordered)
-    moved = []
     # The provisional IDs are 0, 1, ... in the order of ``ids``; their int
     # objects serve as the final IDs, so no second set of them is made.
     for final, label in zip(list(ids.values()), ordered):
-        provisional = ids[label]
-        rank[provisional] = final
+        rank[ids[label]] = final
         ids[label] = final
-        moved.append(rows[provisional])
-    # Back into the one list, so that each row's list dies as soon as
-    # _graph_from_rows puts its tuple in its place.
-    rows[:] = moved
-    del moved
-    for row in rows:
+    # Each row is relabelled and finished in provisional order, the order
+    # in which its list was allocated, so the tuples fill the memory that
+    # the lists before them have just freed.  Only then do the tuples move
+    # to their final IDs.
+    for p, row in enumerate(rows):
         row[:] = map(rank.__getitem__, row)
-    return _graph_from_rows(rows), IdMap(ids, ordered)
+        rows[p] = _sorted_unique(row)
+    placed = [()] * len(rows)
+    for p, final in enumerate(rank):
+        placed[final] = rows[p]
+    # Freed before the graph copies ``placed`` into its adjacency tuple;
+    # ``tuple`` hands each finished row back as it is.
+    rows.clear()
+    return _graph_from_rows(placed, tuple), IdMap(ids, ordered)
 
 
 def save_edge_list(g: Graph, path) -> None:

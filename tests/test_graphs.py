@@ -333,6 +333,15 @@ def test_pair_distance_agrees_with_bfs():
             d = bfs_distances(g, s)
             for t in range(g.node_count):
                 assert pair_distance(g, s, t) == d[t]
+    # Hub-heavy: from each of the three largest hubs the first level is
+    # large, so the search keeps growing the other side.
+    for m in (1, 2, 3):
+        g = generate_ba(BaConfig(n=2000, m_attach=m, rng_seed=10 + m))
+        hubs = sorted(range(g.node_count), key=g.degrees.__getitem__)[-3:]
+        for s in hubs:
+            d = bfs_distances(g, s)
+            for t in range(g.node_count):
+                assert pair_distance(g, s, t) == d[t] == pair_distance(g, t, s)
 
 
 class CountingRows(tuple):

@@ -541,6 +541,9 @@ def test_records_match_the_reference_harness(tmp_path):
         BaConfig(n=n, m_attach=m, rng_seed=m)
         for n, m in ((200, 1), (300, 2), (250, 3), (200, 4))
     ]
+    # reference_generate_ba takes the seed clique from the config it is
+    # given, so the default the configs carry is checked here.
+    assert [cfg.seed_size for cfg in topologies] == [3, 3, 3, 4]
     for topology in [*topologies, str(graph_file)]:
         plan = ExperimentPlan(
             topology=topology,

@@ -5,12 +5,19 @@ import random
 import pytest
 
 from degreesearch import (
+    BaConfig,
+    Graph,
     NodeIdError,
     Route,
     RouteError,
+    SearchConfig,
+    SearchOutcome,
     build_graph,
+    generate_ba,
+    materialize_route,
     pair_distance,
     refine_route,
+    run_search,
 )
 
 from helpers import path, pivot_indices, random_graph, random_simple_path
@@ -65,6 +72,9 @@ def test_rejects_bad_routes():
         refine_route(g, Route((0, 1, 0)))
     with pytest.raises(NodeIdError):
         refine_route(g, Route((0, 9)))
+    # An isolated node has an empty adjacency row.
+    with pytest.raises(RouteError):
+        refine_route(build_graph([(0, 1)], 3), Route((2, 0)))
 
 
 def test_random_routes_properties():
@@ -88,6 +98,18 @@ def test_random_routes_properties():
         assert again.refined == result.refined
 
 
+class RecordingRows:
+    """Adjacency rows that record which nodes' rows were read."""
+
+    def __init__(self, rows, asked):
+        self._rows = rows
+        self._asked = asked
+
+    def __getitem__(self, u):
+        self._asked.add(u)
+        return self._rows[u]
+
+
 class RecordingGraph:
     """Adjacency wrapper that records which nodes were inspected."""
 
@@ -95,6 +117,7 @@ class RecordingGraph:
         self._g = g
         self.node_count = g.node_count
         self.asked = set()
+        self.adjacency = RecordingRows(g.adjacency, self.asked)
 
     def neighbor_set(self, u):
         self.asked.add(u)
@@ -108,3 +131,28 @@ def test_refinement_only_reads_route_adjacency():
     recorder = RecordingGraph(g)
     refine_route(recorder, Route(tuple(nodes)))
     assert recorder.asked <= set(nodes)
+
+
+def test_refinement_builds_neighbor_sets_only_for_kept_nodes():
+    # Hops are checked on adjacency rows; only the greedy scan asks for
+    # neighbor sets, and only of the nodes it keeps.  (At m = 1 the graph
+    # is a tree plus the seed clique, so routes have nothing to shortcut.)
+    for m in (2, 3):
+        adjacency = generate_ba(BaConfig(n=2_000, m_attach=m, rng_seed=m)).adjacency
+        g = Graph(len(adjacency), adjacency)
+        rng = random.Random(m)
+        routes = []
+        for seed in range(40):
+            s, t = rng.randrange(g.node_count), rng.randrange(g.node_count)
+            trace = run_search(g, s, t, SearchConfig(visibility_h=2, rng_seed=seed))
+            if trace.outcome is SearchOutcome.FOUND:
+                routes.append(materialize_route(g, trace, t))
+        g = Graph(len(adjacency), adjacency)
+        kept, shortened = set(), 0
+        for route in routes:
+            refined = refine_route(g, route).refined
+            kept.update(refined.nodes)
+            shortened += refined.length < route.length
+        built = {u for u, entry in enumerate(g.neighbor_sets) if entry is not None}
+        assert built <= kept
+        assert shortened > 0, m

@@ -314,6 +314,25 @@ def test_load_matches_string_pair_reference(tmp_path):
     assert min(seen.values()) >= 5, seen
 
 
+def test_shuffled_string_labelled_graph_loads_as_the_reference(tmp_path):
+    # The loader's provisional IDs follow first appearance, which here is
+    # unrelated to the final label order: nearly every row is finished at
+    # another index than the ID it ends at.
+    rng = random.Random(22)
+    g = generate_ba(BaConfig(n=2_000, m_attach=2, rng_seed=22))
+    names = [f"n{i:x}" for i in rng.sample(range(10**6), g.node_count + 3)]
+    edges = [(names[u], names[v]) for u in range(g.node_count) for v in g.adjacency[u] if u < v]
+    edges += [(names[-3], names[-2]), (names[-2], names[-1])]
+    edges += [pair[::-1] for pair in rng.sample(edges, 500)] + rng.sample(edges, 500)
+    edges += [(a, a) for a, _ in rng.sample(edges, 50)]
+    lines = [f"{a} {b}" for a, b in edges] + ["# comment", "#x y", ""] * 10
+    rng.shuffle(lines)
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    for flag in (True, False):
+        assert load_edge_list(path, flag) == reference_load_edge_list(path, flag), flag
+    assert load_edge_list(path)[0].node_count == g.node_count
+
+
 def test_load_peak_memory_is_a_small_multiple_of_the_result(tmp_path):
     # Holding every edge as a pair of label strings peaked at 7.2x the
     # memory of the returned graph and map; integer edge IDs peaked at
