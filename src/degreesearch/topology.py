@@ -7,14 +7,26 @@ and get remapped to dense internal IDs.
 
 from __future__ import annotations
 
+import operator
 import os
+import re
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress
 from typing import Collection
 
 from .errors import EdgeListError
 from .graphs import Graph, _graph_from_rows, _sorted_unique, components
 
 __all__ = ["IdMap", "giant_component", "load_edge_list", "save_edge_list"]
+
+# A line that is not blank, not a comment and not two canonical non-negative
+# decimal integers ("0" or no leading zero, ASCII digits only).
+_NOT_INTEGER_EDGE = re.compile(
+    r"^(?![^\S\n]*(?:#|(?:0|[1-9][0-9]*)[^\S\n]+(?:0|[1-9][0-9]*)[^\S\n]*$|$))", re.M
+)
+_COMMENT = re.compile(r"^[^\S\n]*#.*", re.M)
 
 
 @dataclass(frozen=True)
@@ -41,10 +53,15 @@ def _label_order(labels: Collection[str]) -> list[str]:
 def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMap]:
     """Read a graph from an edge-list file.
 
-    The loader keeps one copy of each label and files each edge straight
-    into two adjacency rows of integer IDs, which become the graph's rows
-    in place, so its peak memory stays a small multiple of the graph it
-    returns.
+    A file whose labels are all canonical non-negative decimal integers
+    (``0`` or digits without a leading zero), as ``save_edge_list`` writes
+    them, is parsed in blocks: a label's value is its row, so no label
+    string exists until the rows are finished.  Any other file, and every
+    error, goes through a line-by-line parse that keeps one copy of each
+    label.  Both file each edge straight into two adjacency rows of
+    integer IDs, which become the graph's rows in place, so the peak
+    memory stays a small multiple of the graph returned.  The input alone
+    picks the parse, and both give the same result.
 
     Args:
         path: File to read (UTF-8; a leading byte-order mark is skipped).
@@ -59,6 +76,77 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
             when no edges survive filtering.
         OSError: If the file cannot be read.
     """
+    graph, id_map = _load_integer_labels(path) or _load_labels(path)
+    return giant_component(graph, id_map) if take_giant_component else (graph, id_map)
+
+
+def _load_integer_labels(path) -> tuple[Graph, IdMap] | None:
+    # ``load_edge_list`` for a file of canonical integer labels, or None
+    # for any other file, which the line-by-line parse then reads from the
+    # start.  ``rows[v]`` lists the neighbors of value ``v``, each as the
+    # one int object ``nodes[v]``; a value no edge uses keeps an empty row.
+    with open(path, "rb") as handle:
+        if not handle.seekable():
+            # A pipe can be read only once: the line parse reads it.
+            return None
+        lines = sum(block.count(b"\n") + 1 for block in iter(partial(handle.read, 1 << 20), b""))
+    # A file holds at most two labels a line.  A larger value means gaps too
+    # wide to give every value a row, so such a file is read line by line.
+    bound = 2 * lines
+    nodes: list[int] = []
+    rows: list[list[int]] = []
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            while text := handle.read(1 << 16):
+                text += handle.readline()
+                if _NOT_INTEGER_EDGE.search(text):
+                    return None
+                if "#" in text:
+                    text = _COMMENT.sub("", text)
+                values = list(map(int, text.split()))
+                a, b = values[0::2], values[1::2]
+                if any(map(operator.eq, a, b)):
+                    keep = list(map(operator.ne, a, b))
+                    a, b = list(compress(a, keep)), list(compress(b, keep))
+                top = max(max(a, default=-1), max(b, default=-1))
+                if top >= len(rows):
+                    if top >= bound:
+                        return None
+                    rows += [[] for _ in range(len(rows), top + 1)]
+                    nodes += range(len(nodes), top + 1)
+                a = list(map(nodes.__getitem__, a))
+                b = list(map(nodes.__getitem__, b))
+                deque(map(list.append, map(rows.__getitem__, a), b), 0)
+                deque(map(list.append, map(rows.__getitem__, b), a), 0)
+    except ValueError:
+        # Undecodable bytes, or a label past ``int``'s digit limit.
+        return None
+    values = list(compress(nodes, rows))
+    if not values:
+        return None
+    finals = nodes[: len(values)]
+    if len(values) < len(rows):
+        # Values no edge uses close up: the present ones, in order, take the
+        # IDs 0, 1, ... and ``nodes`` becomes the value -> ID map in place.
+        # Each row is relabelled and finished in one pass and moves down to
+        # its ID, which is at most its value.
+        for v, final in zip(values, finals):
+            nodes[v] = final
+        for final, v in zip(finals, values):
+            row = rows[v]
+            row[:] = map(nodes.__getitem__, row)
+            rows[final] = _sorted_unique(row)
+        del rows[len(values) :]
+        graph = _graph_from_rows(rows, tuple)
+    else:
+        graph = _graph_from_rows(rows)
+    del nodes
+    # The labels are made only now, into the memory the rows have freed.
+    labels = list(map(str, values))
+    return graph, IdMap(dict(zip(labels, finals)), labels)
+
+
+def _load_labels(path) -> tuple[Graph, IdMap]:
     # Provisional IDs follow first appearance; ``rows[p]`` lists the
     # provisional neighbors of ID ``p``, repeats included.
     ids: dict[str, int] = {}
@@ -97,9 +185,7 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
         raise EdgeListError(message, path=path, line_no=line_no) from None
     if not rows:
         raise EdgeListError("no usable edges in file", path=path)
-
-    graph, id_map = _indexed(ids, rows)
-    return giant_component(graph, id_map) if take_giant_component else (graph, id_map)
+    return _indexed(ids, rows)
 
 
 def giant_component(g: Graph, id_map: IdMap) -> tuple[Graph, IdMap]:

@@ -1,6 +1,7 @@
 """Edge-list file loading, component filtering, and round-trips."""
 
 import gc
+import os
 import random
 import tracemalloc
 
@@ -13,6 +14,7 @@ from degreesearch import (
     load_edge_list,
     save_edge_list,
 )
+from degreesearch import topology
 from degreesearch.topology import giant_component
 
 from helpers import reference_load_edge_list
@@ -53,8 +55,10 @@ def test_load_malformed_line_reports_position(tmp_path):
 
 
 def test_load_empty_file_is_error(tmp_path):
-    with pytest.raises(EdgeListError):
-        load_edge_list(write(tmp_path, "# nothing here\n"))
+    for text in ("# nothing here\n", "# 1 2\n3 3\n\n0\t0\n"):
+        with pytest.raises(EdgeListError) as exc:
+            load_edge_list(write(tmp_path, text))
+        assert "no usable edges" in str(exc.value)
 
 
 def test_giant_component_kept(tmp_path):
@@ -321,7 +325,7 @@ def test_shuffled_string_labelled_graph_loads_as_the_reference(tmp_path):
     rng = random.Random(22)
     g = generate_ba(BaConfig(n=2_000, m_attach=2, rng_seed=22))
     names = [f"n{i:x}" for i in rng.sample(range(10**6), g.node_count + 3)]
-    edges = [(names[u], names[v]) for u in range(g.node_count) for v in g.adjacency[u] if u < v]
+    edges = [(names[u], names[v]) for u, v in _edges(g)]
     edges += [(names[-3], names[-2]), (names[-2], names[-1])]
     edges += [pair[::-1] for pair in rng.sample(edges, 500)] + rng.sample(edges, 500)
     edges += [(a, a) for a, _ in rng.sample(edges, 50)]
@@ -333,14 +337,181 @@ def test_shuffled_string_labelled_graph_loads_as_the_reference(tmp_path):
     assert load_edge_list(path)[0].node_count == g.node_count
 
 
-def test_load_peak_memory_is_a_small_multiple_of_the_result(tmp_path):
-    # Holding every edge as a pair of label strings peaked at 7.2x the
-    # memory of the returned graph and map; integer edge IDs peaked at
-    # 3.9x with a set per node in build_graph, 2.1x with a list per node.
-    # Filing each edge straight into adjacency rows, which become the
-    # graph's tuples in place, peaks at 1.4x.
+@pytest.fixture
+def line_parses(monkeypatch):
+    """The paths read by the line-by-line parse during the test."""
+    paths = []
+    parse = topology._load_labels
+
+    def spy(path):
+        paths.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(topology, "_load_labels", spy)
+    return paths
+
+
+@pytest.fixture
+def no_line_parse(monkeypatch):
+    """Fail any load that reaches the line-by-line parse."""
+
+    def refuse(path):
+        raise AssertionError(f"line-by-line parse of {path}")
+
+    monkeypatch.setattr(topology, "_load_labels", refuse)
+
+
+def _messy_integer_edge_file(rng):
+    """Canonical integer labels laid out with every rule the parse follows."""
+    kind = rng.choice(["zero-based", "one-based", "gappy"])
+    labels = {
+        "zero-based": range(30),
+        "one-based": range(1, 31),
+        "gappy": sorted(rng.sample(range(60), 30)),
+    }[kind]
+    pool = [str(v) for v in labels]
+    rng.shuffle(pool)
+    # Two components, whose sizes sometimes tie; the rest of the pool is
+    # left out, so some labels are seen only in a self-loop.
+    giant_size = rng.choice([3, 5, 8])
+    comps = [pool[:giant_size], pool[giant_size : giant_size + rng.choice([2, 3, 5])]]
+    edges = []
+    for comp in comps:
+        edges += [(comp[i], comp[rng.randrange(i)]) for i in range(1, len(comp))]
+        edges += [(rng.choice(comp), rng.choice(comp)) for _ in range(len(comp))]
+    # Duplicates in both orientations, and enough lines that the file can
+    # hold every label.
+    repeats = max(len(edges) // 2, 30 - len(edges))
+    edges += [rng.choice(edges)[:: rng.choice([1, -1])] for _ in range(repeats)]
+    lonely = [str(max(labels) + 1 + rng.randrange(3)), pool[-1]]
+    edges += [(label, label) for label in lonely]
+    rng.shuffle(edges)
+    separators = _SEPARATORS + ("\x0b",)
+
+    def pad():
+        return rng.choice(["", "", " ", "\t", "\u00a0", "\x0b"])
+
+    lines = [f"{pad()}{a}{rng.choice(separators)}{b}{pad()}" for a, b in edges]
+    extras = ["# 1 2", "#3 4", "  # 5 6 7", "\t#0", "\u00a0# 8 9", "", "   ", "\u00a0"]
+    for _ in range(rng.randrange(1, 5)):
+        extra = rng.choice(extras)
+        lines.insert(rng.randrange(len(lines) + 1), extra)
+    newline = rng.choice(["\n", "\r\n"])
+    text = newline.join(lines)
+    if rng.random() < 0.5:
+        text += newline
+    return text if rng.random() < 0.7 else "\ufeff" + text
+
+
+def test_integer_files_load_as_the_reference_without_the_line_parse(tmp_path, no_line_parse):
+    seen = {"multi-component": 0, "one-based": 0, "gappy": 0, "bom": 0, "crlf": 0}
+    for seed in range(200):
+        rng = random.Random(seed)
+        text = _messy_integer_edge_file(rng)
+        path = tmp_path / f"g{seed}.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for flag in (True, False):
+            got = load_edge_list(path, flag)
+            assert got == reference_load_edge_list(path, flag), (seed, flag)
+        full, giant = got, load_edge_list(path)
+        labels = full[1].internal_to_external
+        seen["multi-component"] += full != giant
+        seen["one-based"] += labels[0] == "1"
+        seen["gappy"] += int(labels[-1]) >= len(labels) + 2
+        seen["bom"] += text.startswith("\ufeff")
+        seen["crlf"] += "\r\n" in text
+    assert min(seen.values()) >= 10, seen
+
+
+def _edges(g):
+    return [(u, v) for u in range(g.node_count) for v in g.adjacency[u] if u < v]
+
+
+def _ba_edges():
+    g = generate_ba(BaConfig(n=5_000, m_attach=3, rng_seed=11))
+    return g, _edges(g)
+
+
+def test_shuffled_gappy_integer_file_over_many_blocks_loads_as_the_reference(
+    tmp_path, no_line_parse
+):
+    # A 1-based giant and a second component with gappy labels, shuffled,
+    # with duplicates, self-loops, integer comments and CRLF line ends:
+    # several read blocks, each holding a bit of every rule.
+    rng = random.Random(23)
+    g, edges = _ba_edges()
+    lines = [f"{u + 1}\t{v + 1}" for u, v in edges]
+    lines += [f"{v + 1} {u + 1}" for u, v in rng.sample(edges, 2_000)]
+    lines += [f"{u + 1} {u + 1}" for u, _ in rng.sample(edges, 200)]
+    lines += ["20001 20005", "20005 20100", "  # 1 2", "", "#9 10 11"] * 40
+    rng.shuffle(lines)
+    path = tmp_path / "g.txt"
+    path.write_bytes(("\r\n".join(lines)).encode("utf-8"))
+    assert path.stat().st_size > 2 * 2**16
+    for flag in (True, False):
+        assert load_edge_list(path, flag) == reference_load_edge_list(path, flag), flag
+    loaded, idmap = load_edge_list(path)
+    assert loaded == g
+    assert idmap.internal_to_external == [str(u + 1) for u in range(g.node_count)]
+
+
+def test_saved_edge_list_never_takes_the_line_parse(tmp_path, no_line_parse):
+    g = generate_ba(BaConfig(n=20_000, m_attach=3, rng_seed=7))
     path = tmp_path / "ba.txt"
-    save_edge_list(generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5)), path)
+    save_edge_list(g, path)
+    loaded, idmap = load_edge_list(path)
+    assert loaded == g
+    assert idmap.internal_to_external == [str(u) for u in range(g.node_count)]
+    assert idmap.external_to_internal == {str(u): u for u in range(g.node_count)}
+
+
+@pytest.mark.parametrize(
+    "label", ["01", "+1", "-3", "1_0", "\u0663", "9" * 5_000, "x"],
+    ids=["zero-led", "plus", "negative", "underscore", "arabic-digit", "5000-digits", "string"],
+)
+def test_one_late_non_canonical_label_takes_the_line_parse(tmp_path, line_parses, label):
+    # int() reads every one of these except "x", but str() of its value
+    # would not give the label back.  It comes in the file's last block.
+    _, edges = _ba_edges()
+    lines = [f"{u} {v}" for u, v in edges] + [f"{label} 17", "# 1 2"]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    assert path.stat().st_size > 2 * 2**16
+    for flag in (True, False):
+        assert load_edge_list(path, flag) == reference_load_edge_list(path, flag), flag
+    assert line_parses == [path, path]
+    assert label in load_edge_list(path, take_giant_component=False)[1].external_to_internal
+
+
+@pytest.mark.parametrize("bad", [b"1 2 3", b"7", b"1 \xff", b"\xfe 2"])
+def test_error_after_integer_blocks_reports_the_line(tmp_path, bad):
+    _, edges = _ba_edges()
+    lines = [b"# header", b""] + [b"%d %d" % edge for edge in edges] + [bad, b"5 6"]
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with pytest.raises(EdgeListError) as exc:
+        load_edge_list(path)
+    assert exc.value.line_no == len(lines) - 1
+    if bad.isascii():
+        assert _load_outcome(load_edge_list, path, True) == _load_outcome(
+            reference_load_edge_list, path, True
+        )
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_reads_a_pipe_once(tmp_path):
+    text = "0 1\n1 2\n# 3 4\n2 0\n"
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode("utf-8"))
+    os.close(write_end)
+    try:
+        loaded = load_edge_list(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert loaded == load_edge_list(write(tmp_path, text))
+
+
+def _load_under_tracemalloc(path):
+    # The peak and the retained memory of one load, above what came before.
     gc.collect()
     tracemalloc.start()
     try:
@@ -349,5 +520,44 @@ def test_load_peak_memory_is_a_small_multiple_of_the_result(tmp_path):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return loaded, peak - base, retained - base
+
+
+def test_load_peak_memory_is_a_small_multiple_of_the_result(tmp_path):
+    # Holding every edge as a pair of label strings peaked at 7.2x the
+    # memory of the returned graph and map; integer edge IDs peaked at
+    # 3.9x with a set per node in build_graph, 2.1x with a list per node.
+    # Filing each edge straight into adjacency rows, which become the
+    # graph's tuples in place, peaks at 1.4x, and at 1.2x when the rows are
+    # indexed by the integer labels themselves.
+    path = tmp_path / "ba.txt"
+    save_edge_list(generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5)), path)
+    loaded, peak, retained = _load_under_tracemalloc(path)
     assert loaded[0].node_count == 20_000
-    assert (peak - base) < 2 * (retained - base), (peak - base, retained - base)
+    assert peak < 2 * retained, (peak, retained)
+
+
+@pytest.mark.parametrize("labelling", ["strings", "one-based", "sparse"])
+def test_load_peak_memory_stays_a_small_multiple_for_other_labels(
+    tmp_path, line_parses, labelling
+):
+    # The same graph as above under three labellings: strings, read line
+    # by line; labels from 1, whose rows close up after the parse; and
+    # labels spread over 20 times the node count, past the two labels per
+    # line that the file can hold, read line by line rather than given a
+    # row for every unused value.
+    g = generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5))
+    names = {
+        "strings": [f"n{u}" for u in range(g.node_count)],
+        "one-based": [str(u + 1) for u in range(g.node_count)],
+        "sparse": list(map(str, sorted(random.Random(5).sample(range(400_000), g.node_count)))),
+    }[labelling]
+    lines = [f"{names[u]} {names[v]}" for u, v in _edges(g)]
+    # A label seen only in a self-loop, far past the others but within
+    # what the file can hold, must not make rows either.
+    lines.append("100000 100000")
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    loaded, peak, retained = _load_under_tracemalloc(path)
+    assert loaded[0].node_count == 20_000
+    assert peak < 2 * retained, (peak, retained)
+    assert len(line_parses) == (labelling != "one-based")
