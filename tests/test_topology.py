@@ -1,8 +1,13 @@
 """Edge-list file loading, component filtering, and round-trips."""
 
+import contextlib
 import gc
 import os
 import random
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -497,17 +502,41 @@ def test_error_after_integer_blocks_reports_the_line(tmp_path, bad):
         )
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_load_reads_a_pipe_once(tmp_path):
-    text = "0 1\n1 2\n# 3 4\n2 0\n"
-    read_end, write_end = os.pipe()
-    os.write(write_end, text.encode("utf-8"))
-    os.close(write_end)
-    try:
-        loaded = load_edge_list(f"/dev/fd/{read_end}")
-    finally:
-        os.close(read_end)
-    assert loaded == load_edge_list(write(tmp_path, text))
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_reads_a_pipe_once(tmp_path, monkeypatch):
+    # The load waits at the pipe before the writer comes, then gets more
+    # than a pipe buffer holds: a load that closed the pipe and opened it
+    # again would lose the text and wait there for a second writer.  If it
+    # reopened before the writer wrote, the text would survive, so the spy
+    # counts the opens too.
+    _, edges = _ba_edges()
+    path = write(tmp_path, "".join(f"{u} {v}\n" for u, v in edges))
+    assert path.stat().st_size > 2**16
+    fifo = tmp_path / "edges.fifo"
+    os.mkfifo(fifo)
+    opened, outcome = [], []
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(topology, "open", spy, raising=False)
+    loader = threading.Thread(
+        target=lambda: outcome.append(_load_outcome(load_edge_list, fifo, True)), daemon=True
+    )
+    loader.start()
+    time.sleep(0.2)
+    copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+    writer = subprocess.Popen([sys.executable, "-c", copy, path, fifo], stderr=subprocess.DEVNULL)
+    loader.join(timeout=60)
+    if loader.is_alive():
+        # Be the second writer, so the thread ends before the test fails.
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        loader.join(timeout=60)
+    writer.wait(timeout=60)
+    assert opened == [fifo]
+    assert outcome == [load_edge_list(path)]
 
 
 def _load_under_tracemalloc(path):
