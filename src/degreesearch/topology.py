@@ -32,10 +32,36 @@ _COMMENT = re.compile(r"^[^\S\n]*#.*", re.M)
 
 @dataclass(frozen=True)
 class IdMap:
-    """Bijection between external labels and dense internal IDs."""
+    """Bijection between external labels and dense internal IDs.
+
+    A map from the block parse of ``load_edge_list`` holds only the kept
+    label values and their IDs until one of its fields is first read; the
+    label strings and the dictionary are built then.  Equality, ``repr``,
+    copies and pickles read or carry the map as if it were built.
+    """
 
     external_to_internal: dict[str, int]
     internal_to_external: list[str]
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is not set: on a map from
+        # ``_value_map``, the first read of a field builds both.
+        pending = self.__dict__.pop("_values", None) if name in self.__dataclass_fields__ else None
+        if pending is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values, ids = pending
+        labels = list(map(str, values))
+        self.__dict__["external_to_internal"] = dict(zip(labels, ids))
+        self.__dict__["internal_to_external"] = labels
+        return self.__dict__[name]
+
+
+def _value_map(values: list[int], ids: list[int]) -> IdMap:
+    # The map in which ``str(values[i])`` has the ID ``ids[i]``, built when
+    # first read.  The values ascend, so the labels come out in ID order.
+    id_map = object.__new__(IdMap)
+    id_map.__dict__["_values"] = (values, ids)
+    return id_map
 
 
 def _label_order(labels: Collection[str]) -> list[str]:
@@ -56,8 +82,9 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
 
     A file whose labels are all canonical non-negative decimal integers
     (``0`` or digits without a leading zero), as ``save_edge_list`` writes
-    them, is parsed in blocks: a label's value is its row, so no label
-    string exists until the rows are finished.  Any other file, every
+    them, is parsed in blocks: a label's value is its row, and the ID map
+    holds only the kept values until it is first read, when it builds the
+    label strings and the label dictionary.  Any other file, every
     error, and a path that is not a regular file (a pipe, opened once) go
     through a line-by-line parse that keeps one copy of each label.  Both
     file each edge straight into two adjacency rows of integer IDs, which
@@ -124,31 +151,27 @@ def _load_integer_labels(path) -> tuple[Graph, IdMap] | None:
     except ValueError:
         # Undecodable bytes, or a label past ``int``'s digit limit.
         return None
-    values = list(compress(nodes, rows))
-    if not values:
+    if not rows:
         return None
-    finals = nodes[: len(values)]
-    if len(values) < len(rows):
-        # Values no edge uses close up: the present ones, in order, take the
-        # IDs 0, 1, ... and ``nodes`` becomes the value -> ID map in place.
-        # Each row is relabelled and finished in one pass and moves down to
-        # its ID, which is at most its value.
-        for v, final in zip(values, finals):
-            nodes[v] = final
-        for final, v in zip(finals, values):
-            row = rows[v]
-            row[:] = map(nodes.__getitem__, row)
-            rows[final] = _sorted_unique(row)
-        del rows[len(values) :]
-        graph = _graph_from_rows(rows, tuple)
-    else:
+    if all(rows):
         # Without gaps the relabel is the identity; skipping its pass over
-        # every entry keeps about 0.1 s and 0.1 MiB off the 100k load.
-        graph = _graph_from_rows(rows)
-    del nodes
-    # The labels are made only now, into the memory the rows have freed.
-    labels = list(map(str, values))
-    return graph, IdMap(dict(zip(labels, finals)), labels)
+        # every entry keeps about 0.1 s and 0.1 MiB off the 100k load.  Each
+        # value is its own ID, so one list serves as both.
+        return _graph_from_rows(rows), _value_map(nodes, nodes)
+    # Values no edge uses close up: the present ones, in order, take the
+    # IDs 0, 1, ... and ``nodes`` becomes the value -> ID map in place.
+    # Each row is relabelled and finished in one pass and moves down to its
+    # ID, which is at most its value.
+    values = list(compress(nodes, rows))
+    finals = nodes[: len(values)]
+    for v, final in zip(values, finals):
+        nodes[v] = final
+    for final, v in zip(finals, values):
+        row = rows[v]
+        row[:] = map(nodes.__getitem__, row)
+        rows[final] = _sorted_unique(row)
+    del rows[len(values) :], nodes
+    return _graph_from_rows(rows, tuple), _value_map(values, finals)
 
 
 def _load_labels(path) -> tuple[Graph, IdMap]:
@@ -199,7 +222,8 @@ def giant_component(g: Graph, id_map: IdMap) -> tuple[Graph, IdMap]:
     Ties go to the component holding the smallest internal ID.  The kept
     labels are ordered among themselves, so the result equals loading a
     file that holds only this component.  A connected graph comes back as
-    is.
+    is.  An ID map from the block parse that has not been read yet gives a
+    map that has not been read either.
     """
     return _giant(g, id_map, components(g))
 
@@ -209,6 +233,19 @@ def _giant(g: Graph, id_map: IdMap, parts: list[list[int]]) -> tuple[Graph, IdMa
     nodes = max(parts, key=len, default=[])
     if len(nodes) == g.node_count:
         return g, id_map
+    pending = id_map.__dict__.get("_values")
+    if pending is not None:
+        # An unread map from the block parse: IDs ascend with the label
+        # values, so the kept nodes keep their order and take the IDs
+        # 0, 1, ... by position.  The relabel keeps every row sorted, and
+        # the map stays unread.
+        values, ids = pending
+        ids = ids[: len(nodes)]
+        position = [0] * g.node_count
+        for p, u in zip(ids, nodes):
+            position[u] = p
+        rows = [tuple(map(position.__getitem__, g.adjacency[u])) for u in nodes]
+        return _graph_from_rows(rows, tuple), _value_map(list(map(values.__getitem__, nodes)), ids)
     names = id_map.internal_to_external
     position = {u: p for p, u in enumerate(nodes)}
     return _indexed(

@@ -25,6 +25,7 @@ from degreesearch import (
     generate_ba,
     run_experiment,
     sample_pairs,
+    save_edge_list,
 )
 
 from helpers import CANONICAL_VARIANTS, reference_records, summarize_csv_rows
@@ -444,6 +445,31 @@ def test_walk_layers_are_called_by_module_level_name(monkeypatch):
         "materialize_route": len(found),
         "refine_route": len(refined),
     }
+
+
+def test_topology_file_is_loaded_by_module_level_name(tmp_path, monkeypatch):
+    # perfbench marks the end of set-up, and times the load, by wrapping
+    # ``experiment.load_edge_list``, and takes the graph from the first
+    # item of its result.
+    path = tmp_path / "g.txt"
+    save_edge_list(generate_ba(BaConfig(n=80, m_attach=2, rng_seed=5)), path)
+    loads, searched = [], set()
+    load, search = experiment.load_edge_list, experiment.run_search
+
+    def spy_load(*args, **kwargs):
+        loads.append(load(*args, **kwargs))
+        return loads[-1]
+
+    def spy_search(g, *args):
+        searched.add(id(g))
+        return search(g, *args)
+
+    monkeypatch.setattr(experiment, "load_edge_list", spy_load)
+    monkeypatch.setattr(experiment, "run_search", spy_search)
+    run_experiment(small_plan(topology=path, workers=1))
+    assert len(loads) == 1
+    assert type(loads[0]) is tuple
+    assert searched == {id(loads[0][0])}
 
 
 def test_per_pair_seed_prefix_matches_the_full_fold():

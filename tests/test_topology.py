@@ -1,8 +1,10 @@
 """Edge-list file loading, component filtering, and round-trips."""
 
 import contextlib
+import copy
 import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from degreesearch import (
     load_edge_list,
     save_edge_list,
 )
-from degreesearch import topology
+from degreesearch import cli, topology
 from degreesearch.topology import giant_component
 
 from helpers import reference_load_edge_list
@@ -537,6 +539,113 @@ def test_load_reads_a_pipe_once(tmp_path, monkeypatch):
     writer.wait(timeout=60)
     assert opened == [fifo]
     assert outcome == [load_edge_list(path)]
+
+
+def _unread(id_map):
+    # ``vars`` reads the instance dictionary without building any field.
+    return "internal_to_external" not in vars(id_map)
+
+
+def _two_component_integer_file(tmp_path):
+    # A 1-based BA giant with gaps in its labels, and a second component.
+    g, edges = _ba_edges()
+    label = [3 * u + 1 for u in range(g.node_count)]
+    lines = [f"{label[u]} {label[v]}" for u, v in edges] + ["20001 20005", "20005 20100"]
+    return write(tmp_path, "\n".join(lines) + "\n")
+
+
+_MAP_CHECKS = {
+    "eq": lambda m, ref: m == ref,
+    "eq-reflected": lambda m, ref: ref == m,
+    "ne": lambda m, ref: not (m != ref) and not (ref != m),
+    "repr": lambda m, ref: repr(m) == repr(ref),
+    "copy": lambda m, ref: copy.copy(m) == ref,
+    "deepcopy": lambda m, ref: copy.deepcopy(m) == ref and ref == copy.deepcopy(m),
+    **{
+        f"pickle-{protocol}": lambda m, ref, protocol=protocol: (
+            pickle.loads(pickle.dumps(m, protocol)) == ref
+        )
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    },
+}
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_block_parse_id_map_behaves_as_the_reference(tmp_path, no_line_parse, read_first):
+    # Each check gets a fresh map: the first one to read a field builds it.
+    path = _two_component_integer_file(tmp_path)
+    for flag in (True, False):
+        ref = reference_load_edge_list(path, flag)[1]
+        for check, holds in _MAP_CHECKS.items():
+            id_map = load_edge_list(path, flag)[1]
+            assert _unread(id_map)
+            if read_first:
+                assert id_map.internal_to_external == ref.internal_to_external
+                assert not _unread(id_map)
+            assert holds(id_map, ref), (check, flag)
+
+
+def test_integer_giant_component_builds_no_labels(tmp_path, capsys, monkeypatch):
+    # The block parse's IDs ascend with the labels, so the giant component
+    # is taken by position.  The line parse's label ordering, ``_indexed``
+    # and ``_label_order``, must not run, and no map may be read.
+    path = _two_component_integer_file(tmp_path)
+    argv = ["stats", "--topology", str(path), "--pairs", "20"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    reference = reference_load_edge_list(path)
+
+    def refuse(*args):
+        raise AssertionError("labels ordered on the block parse")
+
+    maps = []
+
+    def recording_value_map(*args):
+        maps.append(value_map(*args))
+        return maps[-1]
+
+    value_map = topology._value_map
+    monkeypatch.setattr(topology, "_indexed", refuse)
+    monkeypatch.setattr(topology, "_label_order", refuse)
+    monkeypatch.setattr(topology, "_value_map", recording_value_map)
+    loaded = load_edge_list(path)
+    full = load_edge_list(path, take_giant_component=False)
+    giant = giant_component(*full)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert "giant component: 5000 nodes" in expected
+    # One map per parse and one per giant taken: two loads, the giant of
+    # the second, and the parse and giant in ``stats``.
+    assert len(maps) == 6 and all(map(_unread, maps))
+    assert loaded == giant == reference
+    # Read first, the map takes the label path to the same component.
+    monkeypatch.undo()
+    assert full[1].internal_to_external and not _unread(full[1])
+    assert giant_component(*full) == reference
+
+
+def test_unread_id_map_holds_no_labels(tmp_path):
+    # The file of the memory test below.  Unread, the block parse's map
+    # holds one list of the kept values, whose ints the graph shares: 42
+    # bytes a node under CPython 3.11.  Read, it holds the label strings
+    # and their dictionary instead: 116.
+    path = tmp_path / "ba.txt"
+    save_edge_list(generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5)), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        graph, id_map = load_edge_list(path)
+        # A full collection also empties the free lists that keep the
+        # graph's tuples.
+        del graph
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 20_000, held
+    assert _unread(id_map)
+    assert id_map.internal_to_external == [str(u) for u in range(20_000)]
 
 
 def _load_under_tracemalloc(path):
