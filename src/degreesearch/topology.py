@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress
-from typing import Collection
+from typing import Collection, Iterable
 
 from .errors import EdgeListError
 from .graphs import Graph, _graph_from_rows, _sorted_unique, components
@@ -45,14 +45,17 @@ class IdMap:
 
     def __getattr__(self, name: str):
         # Reached only for an attribute that is not set: on a map from
-        # ``_value_map``, the first read of a field builds both.
-        pending = self.__dict__.pop("_values", None) if name in self.__dataclass_fields__ else None
-        if pending is None:
+        # ``_value_map``, the first read of a field builds both.  The values
+        # go last, so a read from another thread finds them or the fields.
+        pending = self.__dict__.get("_values") if name in self.__dataclass_fields__ else None
+        if pending is not None:
+            values, ids = pending
+            labels = list(map(str, values))
+            self.__dict__["external_to_internal"] = dict(zip(labels, ids))
+            self.__dict__["internal_to_external"] = labels
+            self.__dict__.pop("_values", None)
+        elif name not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        values, ids = pending
-        labels = list(map(str, values))
-        self.__dict__["external_to_internal"] = dict(zip(labels, ids))
-        self.__dict__["internal_to_external"] = labels
         return self.__dict__[name]
 
 
@@ -84,13 +87,13 @@ def load_edge_list(path, take_giant_component: bool = True) -> tuple[Graph, IdMa
     (``0`` or digits without a leading zero), as ``save_edge_list`` writes
     them, is parsed in blocks: a label's value is its row, and the ID map
     holds only the kept values until it is first read, when it builds the
-    label strings and the label dictionary.  Any other file, every
-    error, and a path that is not a regular file (a pipe, opened once) go
-    through a line-by-line parse that keeps one copy of each label.  Both
-    file each edge straight into two adjacency rows of integer IDs, which
-    become the graph's rows in place, so the peak memory stays a small
-    multiple of the graph returned.  The input alone picks the parse, and
-    both give the same result.
+    label strings and the label dictionary.  Any other file, every error,
+    and a path that is not a regular file (a pipe, opened once) go through
+    a line-by-line parse that keeps one copy of each label.  Both file each
+    edge straight into two adjacency rows of integer IDs.  One relabel step
+    orders the line parse's labels, closes up values no edge uses and takes
+    the giant component, so the peak memory stays a small multiple of the
+    graph returned.  The input alone picks the parse; both give one result.
 
     Args:
         path: File to read (UTF-8; a leading byte-order mark is skipped).
@@ -158,25 +161,14 @@ def _load_integer_labels(path) -> tuple[Graph, IdMap] | None:
         # every entry keeps about 0.1 s and 0.1 MiB off the 100k load.  Each
         # value is its own ID, so one list serves as both.
         return _graph_from_rows(rows), _value_map(nodes, nodes)
-    # Values no edge uses close up: the present ones, in order, take the
-    # IDs 0, 1, ... and ``nodes`` becomes the value -> ID map in place.
-    # Each row is relabelled and finished in one pass and moves down to its
-    # ID, which is at most its value.
+    # Values no edge uses close up: the k present ones take the IDs ``nodes[:k]``.
     values = list(compress(nodes, rows))
-    finals = nodes[: len(values)]
-    for v, final in zip(values, finals):
-        nodes[v] = final
-    for final, v in zip(finals, values):
-        row = rows[v]
-        row[:] = map(nodes.__getitem__, row)
-        rows[final] = _sorted_unique(row)
-    del rows[len(values) :], nodes
-    return _graph_from_rows(rows, tuple), _value_map(values, finals)
+    return _relabelled(rows, values, nodes), _value_map(values, nodes[: len(values)])
 
 
 def _load_labels(path) -> tuple[Graph, IdMap]:
-    # Provisional IDs follow first appearance; ``rows[p]`` lists the
-    # provisional neighbors of ID ``p``, repeats included.
+    # Provisional IDs, 0, 1, ..., follow first appearance; ``rows[p]`` lists
+    # the provisional neighbors of ID ``p``, repeats included.
     ids: dict[str, int] = {}
     rows: list[list[int]] = []
     try:
@@ -213,17 +205,17 @@ def _load_labels(path) -> tuple[Graph, IdMap]:
         raise EdgeListError(message, path=path, line_no=line_no) from None
     if not rows:
         raise EdgeListError("no usable edges in file", path=path)
-    return _indexed(ids, rows)
+    return _indexed(ids, rows, ids.values())
 
 
 def giant_component(g: Graph, id_map: IdMap) -> tuple[Graph, IdMap]:
     """The largest connected component of a loaded graph.
 
     Ties go to the component holding the smallest internal ID.  The kept
-    labels are ordered among themselves, so the result equals loading a
-    file that holds only this component.  A connected graph comes back as
-    is.  An ID map from the block parse that has not been read yet gives a
-    map that has not been read either.
+    labels are ordered among themselves by the relabel step of the loader,
+    so the result equals loading a file that holds only this component.  A
+    connected graph comes back as is.  An unread ID map from the block
+    parse gives a map that has not been read either.
     """
     return _giant(g, id_map, components(g))
 
@@ -234,51 +226,47 @@ def _giant(g: Graph, id_map: IdMap, parts: list[list[int]]) -> tuple[Graph, IdMa
     if len(nodes) == g.node_count:
         return g, id_map
     pending = id_map.__dict__.get("_values")
-    if pending is not None:
-        # An unread map from the block parse: IDs ascend with the label
-        # values, so the kept nodes keep their order and take the IDs
-        # 0, 1, ... by position.  The relabel keeps every row sorted, and
-        # the map stays unread.
-        values, ids = pending
-        ids = ids[: len(nodes)]
-        position = [0] * g.node_count
-        for p, u in zip(ids, nodes):
-            position[u] = p
-        rows = [tuple(map(position.__getitem__, g.adjacency[u])) for u in nodes]
-        return _graph_from_rows(rows, tuple), _value_map(list(map(values.__getitem__, nodes)), ids)
-    names = id_map.internal_to_external
-    position = {u: p for p, u in enumerate(nodes)}
-    return _indexed(
-        {names[u]: p for p, u in enumerate(nodes)},
-        [[position[v] for v in g.adjacency[u]] for u in nodes],
-    )
+    if pending is None:
+        names = id_map.internal_to_external
+        return _indexed({names[u]: u for u in nodes}, list(g.adjacency), list(range(len(nodes))))
+    # An unread map from the block parse: IDs ascend with the label values,
+    # so the kept nodes keep their order, and the map stays unread.
+    values, ids = pending
+    graph = _relabelled(list(g.adjacency), nodes, ids)
+    return graph, _value_map(list(map(values.__getitem__, nodes)), ids[: len(nodes)])
 
 
-def _indexed(ids: dict[str, int], rows: list[list[int]]) -> tuple[Graph, IdMap]:
-    # ``ids`` maps each label to its provisional ID and ``rows[p]`` lists the
-    # provisional neighbors of ID ``p``.  The labels alone decide the final
-    # order, and ``ids`` becomes the final label -> ID map in place.
+def _indexed(ids: dict[str, int], rows: list, finals: Collection[int]) -> tuple[Graph, IdMap]:
+    # ``ids`` maps each kept label to its row in ``rows``; the labels alone
+    # decide the final order, and ``ids`` becomes the final map in place.
+    # ``finals`` may be a view of its values, so is copied before they change.
     ordered = _label_order(ids)
-    rank = [0] * len(ordered)
-    # The provisional IDs are 0, 1, ... in the order of ``ids``; their int
-    # objects serve as the final IDs, so no second set of them is made.
-    for final, label in zip(list(ids.values()), ordered):
-        rank[ids[label]] = final
-        ids[label] = final
-    # Each row is relabelled and finished in provisional order, the order
-    # in which its list was allocated, so the tuples fill the memory that
-    # the lists before them have just freed.  Only then do the tuples move
-    # to their final IDs.
-    for p, row in enumerate(rows):
-        row[:] = map(rank.__getitem__, row)
-        rows[p] = _sorted_unique(row)
-    placed = [()] * len(rows)
-    for p, final in enumerate(rank):
-        placed[final] = rows[p]
+    graph = _relabelled(rows, map(ids.__getitem__, ordered), finals)
+    ids.update(zip(ordered, list(finals)))
+    return graph, IdMap(ids, ordered)
+
+
+def _relabelled(rows: list, kept: Iterable[int], finals: Iterable[int]) -> Graph:
+    # The graph on the nodes ``kept``, the ``i``-th of which takes the ID
+    # ``i``: the ``i``-th int object of ``finals``, which the caller holds.
+    # No node left out neighbors a kept one.  Rows are relabelled and
+    # finished in the order of ``rows``, the order in which their lists were
+    # allocated, so the tuples fill the memory the lists before them have
+    # just freed.  Only then do they move to their final IDs.
+    rank: list[int | None] = [None] * len(rows)
+    for u, final in zip(kept, finals):
+        rank[u] = final
+    for u, final in enumerate(rank):
+        if final is not None:
+            rows[u] = _sorted_unique(list(map(rank.__getitem__, rows[u])))
+    placed = [()] * (len(rank) - rank.count(None))
+    for u, final in enumerate(rank):
+        if final is not None:
+            placed[final] = rows[u]
     # Freed before the graph copies ``placed`` into its adjacency tuple;
     # ``tuple`` hands each finished row back as it is.
     rows.clear()
-    return _graph_from_rows(placed, tuple), IdMap(ids, ordered)
+    return _graph_from_rows(placed, tuple)
 
 
 def save_edge_list(g: Graph, path) -> None:

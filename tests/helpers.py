@@ -48,6 +48,19 @@ def random_graph(rng, n, p, ensure_connected=False):
     return build_graph(edges, n)
 
 
+def config_model(n, tau, k_min, seed):
+    """Erased configuration model: each node draws a degree ``k`` with
+    probability proportional to ``k ** -tau`` for ``k_min <= k < n``, the
+    stubs are paired at random (an odd one out is dropped), and
+    ``build_graph`` erases the self-loops and repeated edges."""
+    rng = random.Random(seed)
+    ks = range(k_min, n)
+    degrees = rng.choices(ks, [k**-tau for k in ks], k=n)
+    stubs = [u for u, k in enumerate(degrees) for _ in range(k)]
+    rng.shuffle(stubs)
+    return build_graph(zip(stubs[0::2], stubs[1::2]), n)
+
+
 def random_simple_path(rng, g, max_len=30):
     """Random walk without node revisits; always a valid simple route."""
     start = rng.randrange(g.node_count)

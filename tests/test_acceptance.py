@@ -35,10 +35,12 @@ from degreesearch import (
 
 from helpers import (
     CANONICAL_VARIANTS,
+    config_model,
     floyd_warshall,
     pivot_indices,
     random_graph,
     random_simple_path,
+    reference_load_edge_list,
 )
 
 NODES = 10_000
@@ -287,6 +289,24 @@ def test_criterion_6_real_topology_ordering():
         pytest.skip("DEGREESEARCH_TOPOLOGY not set")
     g, _ = load_edge_list(path)
     assert g.node_count >= 5000, f"topology has only {g.node_count} nodes"
+    _report_topology_ordering("6 (real-topology ordering)", path, g)
+
+
+def test_criterion_6_twin_heavy_tailed_ordering(tmp_path):
+    # Criterion 6, always on, over an erased configuration model with the
+    # exponent of Adamic et al., "Search in power-law networks" (PRE 64,
+    # 046135, 2001).  N = 10,000, tau = 2.1, k_min = 1 and the seed were
+    # fixed before the first run.  With k_min = 1 the graph has many small
+    # components, so the load takes the giant component.
+    path = tmp_path / "config-model.txt"
+    save_edge_list(config_model(10_000, 2.1, 1, MASTER_SEED), path)
+    for flag in (False, True):
+        g, id_map = load_edge_list(path, flag)
+        assert (g, id_map) == reference_load_edge_list(path, flag), flag
+    _report_topology_ordering("6 twin (heavy-tailed ordering)", path, g)
+
+
+def _report_topology_ordering(name, path, g):
     plan = ExperimentPlan(
         topology=path,
         variants=(
@@ -303,7 +323,7 @@ def test_criterion_6_real_topology_ordering():
     means = {s.variant: s.mean_walk_steps for s in result.summaries}
     ok = means["h1"] > 5 * means["h2"] and means["h2"] > 5 * means["h3"]
     _report(
-        "6 (real-topology ordering)",
+        name,
         ok,
         f"{g.node_count} nodes; means h1={means['h1']:.1f} "
         f"h2={means['h2']:.2f} h3={means['h3']:.2f}",

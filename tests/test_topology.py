@@ -570,6 +570,66 @@ _MAP_CHECKS = {
 }
 
 
+def test_id_map_read_from_a_second_thread_during_its_build():
+    # The first read of a lazy map is held inside ``str`` of a value; a
+    # read from another thread meanwhile must still find the fields.
+    entered, release = threading.Event(), threading.Event()
+
+    class Held:
+        calls = 0
+
+        def __str__(self):
+            Held.calls += 1
+            if Held.calls == 1:
+                entered.set()
+                release.wait(10)
+            return "7"
+
+    id_map = topology._value_map([Held()], [0])
+    first = []
+    thread = threading.Thread(target=lambda: first.append(id_map.internal_to_external))
+    thread.start()
+    try:
+        assert entered.wait(10)
+        assert id_map.internal_to_external == ["7"]
+        assert id_map.external_to_internal == {"7": 0}
+    finally:
+        release.set()
+        thread.join(10)
+    assert first == [["7"]]
+
+
+def test_id_map_read_from_a_second_thread_across_its_build():
+    # A second thread misses the field and is held on entering
+    # ``__getattr__`` until this thread has built the map: it must then
+    # find the fields, though the values are gone.
+    entered, built = threading.Event(), threading.Event()
+
+    def hold(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__getattr__":
+            entered.set()
+            built.wait(10)
+
+    def read():
+        sys.settrace(hold)
+        try:
+            second.append(id_map.internal_to_external)
+        finally:
+            sys.settrace(None)
+
+    id_map = topology._value_map([7], [0])
+    second = []
+    thread = threading.Thread(target=read)
+    thread.start()
+    try:
+        assert entered.wait(10)
+        assert id_map.internal_to_external == ["7"] and not _unread(id_map)
+    finally:
+        built.set()
+        thread.join(10)
+    assert second == [["7"]]
+
+
 @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
 def test_block_parse_id_map_behaves_as_the_reference(tmp_path, no_line_parse, read_first):
     # Each check gets a fresh map: the first one to read a field builds it.
@@ -675,25 +735,29 @@ def test_load_peak_memory_is_a_small_multiple_of_the_result(tmp_path):
     assert peak < 2 * retained, (peak, retained)
 
 
-@pytest.mark.parametrize("labelling", ["strings", "one-based", "sparse"])
+@pytest.mark.parametrize("labelling", ["strings", "one-based", "sparse", "strings-giant"])
 def test_load_peak_memory_stays_a_small_multiple_for_other_labels(
     tmp_path, line_parses, labelling
 ):
-    # The same graph as above under three labellings: strings, read line
-    # by line; labels from 1, whose rows close up after the parse; and
-    # labels spread over 20 times the node count, past the two labels per
-    # line that the file can hold, read line by line rather than given a
-    # row for every unused value.
+    # The same graph as above under four labellings: strings, read line
+    # by line; labels from 1, whose rows close up after the parse; labels
+    # spread over 20 times the node count, past the two labels per line
+    # that the file can hold, read line by line rather than given a row
+    # for every unused value; and strings with a second component, which
+    # the giant component then drops.
     g = generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5))
     names = {
         "strings": [f"n{u}" for u in range(g.node_count)],
         "one-based": [str(u + 1) for u in range(g.node_count)],
         "sparse": list(map(str, sorted(random.Random(5).sample(range(400_000), g.node_count)))),
+        "strings-giant": [f"n{u}" for u in range(g.node_count)],
     }[labelling]
     lines = [f"{names[u]} {names[v]}" for u, v in _edges(g)]
     # A label seen only in a self-loop, far past the others but within
     # what the file can hold, must not make rows either.
     lines.append("100000 100000")
+    if labelling == "strings-giant":
+        lines.append("x y")
     path = write(tmp_path, "\n".join(lines) + "\n")
     loaded, peak, retained = _load_under_tracemalloc(path)
     assert loaded[0].node_count == 20_000
