@@ -45,11 +45,11 @@ def generate_ba(cfg: BaConfig) -> Graph:
     attaches ``m_attach`` edges to distinct existing nodes, chosen with
     probability proportional to current degree.  Degree-proportional
     sampling uses an urn holding each edge's two endpoints, with duplicate
-    targets rejected and redrawn.  Each target is ``urn[randrange(len(urn))]``,
-    drawn straight from ``getrandbits`` by CPython's own rejection rule;
-    the tests pin that the two give the same values.  Adjacency rows are
-    filled as edges are made; they need no sorting or deduplication
-    afterwards.
+    targets rejected and redrawn; the urn is empty only for a one-node
+    seed's first newcomer, which draws from the existing nodes.  One draw,
+    ``pool[randrange(len(pool))]`` taken straight from ``getrandbits`` by
+    CPython's rejection rule, serves both; the tests pin its values and RNG
+    state.  Adjacency rows are filled as edges are made, sorted and unique.
 
     The same ``BaConfig`` always yields the same graph, and for a fixed
     ``rng_seed`` the graph at ``n`` nodes is a subgraph of the graph at any
@@ -62,8 +62,7 @@ def generate_ba(cfg: BaConfig) -> Graph:
         A connected graph with ``C(seed_size, 2) + m_attach * (n - seed_size)``
         edges.
     """
-    rng = random.Random(cfg.rng_seed)
-    getrandbits = rng.getrandbits
+    getrandbits = random.Random(cfg.rng_seed).getrandbits
     m_attach = cfg.m_attach
     rows: list[list[int]] = [[] for _ in range(cfg.seed_size)]
     # Every edge drops both endpoints in the urn, so each node is in it once
@@ -77,20 +76,17 @@ def generate_ba(cfg: BaConfig) -> Graph:
             urn.append(j)
     for v in range(cfg.seed_size, cfg.n):
         chosen: set[int] = set()
-        size = len(urn)
-        if size:
-            # urn[randrange(size)], drawn as CPython's _randbelow does: take
-            # size.bit_length() random bits and redraw when they reach size.
-            k = size.bit_length()
-            while len(chosen) < m_attach:
-                r = getrandbits(k)
-                if r < size:
-                    chosen.add(urn[r])
-        else:
-            # Only reachable with seed_size == 1: no edge exists yet, so
-            # fall back to a uniform pick among existing nodes.
-            while len(chosen) < m_attach:
-                chosen.add(rng.randrange(v))
+        # The urn is empty only for the first newcomer of a one-node seed,
+        # which then picks uniformly among the existing nodes.
+        pool = urn or range(v)
+        # pool[randrange(size)], drawn as CPython's _randbelow does: take
+        # size.bit_length() random bits and redraw when they reach size.
+        size = len(pool)
+        k = size.bit_length()
+        while len(chosen) < m_attach:
+            r = getrandbits(k)
+            if r < size:
+                chosen.add(pool[r])
         # Targets are distinct and in ascending order, and every later
         # append to a row is a newer, larger ID: rows stay sorted and free
         # of repeats.

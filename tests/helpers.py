@@ -1,6 +1,8 @@
 """Shared fixtures-in-spirit for the test suite: random graphs and oracles."""
 
+import gc
 import random
+import tracemalloc
 
 from degreesearch import (
     BaConfig,
@@ -46,6 +48,20 @@ def random_graph(rng, n, p, ensure_connected=False):
         for a, b in zip(order, order[1:]):
             edges.append((a, b))
     return build_graph(edges, n)
+
+
+def traced(fn):
+    """``(fn(), peak, retained)``: the peak and the retained memory that
+    tracemalloc sees during the call, above what came before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, retained - base
 
 
 def config_model(n, tau, k_min, seed):

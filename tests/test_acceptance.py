@@ -9,6 +9,7 @@ them as they complete.
 import csv
 import os
 import random
+import statistics
 import time
 
 import pytest
@@ -306,7 +307,31 @@ def test_criterion_6_twin_heavy_tailed_ordering(tmp_path):
     _report_topology_ordering("6 twin (heavy-tailed ordering)", path, g)
 
 
-def _report_topology_ordering(name, path, g):
+def test_criterion_6_twin_replicates_over_graph_seeds(tmp_path):
+    # The twin passes h2 > 5 * h3 by 3.7%, and a few long h3 walks set its
+    # mean.  The same plan over graph seeds 0-9, all ten, none dropped or
+    # picked by result, so no single thin margin decides.  Per variant each
+    # line gives the mean, the median and the mean without the largest walk.
+    failed = []
+    for seed in range(10):
+        path = tmp_path / f"config-model-{seed}.txt"
+        save_edge_list(config_model(10_000, 2.1, 1, seed), path)
+        result = _run_topology_ordering(path)
+        ok, means = _ordering_holds(result)
+        detail = []
+        for v in means:
+            found = [r for r in result.records if r.variant == v and r.outcome == "found"]
+            w = sorted(r.walk_steps for r in found)
+            trimmed = sum(w[:-1]) / (len(w) - 1)
+            detail.append(f"{v} {means[v]:.2f} / {statistics.median(w):g} / {trimmed:.2f}")
+        status = "PASS" if ok else "FAIL"
+        print(f"criterion 6 replicate, graph seed {seed}: {status} ({'; '.join(detail)})")
+        if not ok:
+            failed.append(seed)
+    assert not failed, f"criterion 6 replicates fail on graph seeds {failed}"
+
+
+def _run_topology_ordering(path):
     plan = ExperimentPlan(
         topology=path,
         variants=(
@@ -319,9 +344,16 @@ def _report_topology_ordering(name, path, g):
         master_seed=MASTER_SEED,
         workers=2,
     )
-    result = run_experiment(plan)
+    return run_experiment(plan)
+
+
+def _ordering_holds(result):
     means = {s.variant: s.mean_walk_steps for s in result.summaries}
-    ok = means["h1"] > 5 * means["h2"] and means["h2"] > 5 * means["h3"]
+    return means["h1"] > 5 * means["h2"] and means["h2"] > 5 * means["h3"], means
+
+
+def _report_topology_ordering(name, path, g):
+    ok, means = _ordering_holds(_run_topology_ordering(path))
     _report(
         name,
         ok,

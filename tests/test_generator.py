@@ -1,14 +1,12 @@
 """Preferential-attachment generator behavior."""
 
-import gc
 import random
-import tracemalloc
 
 import pytest
 
 from degreesearch import BaConfig, ConfigError, bfs_distances, generate_ba
 
-from helpers import check_graph_invariants, reference_generate_ba
+from helpers import check_graph_invariants, reference_generate_ba, traced
 
 
 def edge_set(g):
@@ -91,8 +89,10 @@ def test_matches_reference_generator(n, m, seed_size):
 
 
 def test_rejection_draw_matches_randrange():
-    # generate_ba draws urn indices as getrandbits(n.bit_length()), redrawn
-    # while >= n; that must be the very draw randrange(n) makes.
+    # generate_ba's single draw takes urn indices, and the first newcomer of
+    # a one-node seed its n = 1 node index, as getrandbits(n.bit_length()),
+    # redrawn while >= n; that must be the very draw randrange(n) makes,
+    # leaving the RNG in the very same state.
     for seed in range(3):
         ours, theirs = random.Random(seed), random.Random(seed)
         for n in range(1, 4098):
@@ -101,9 +101,11 @@ def test_rejection_draw_matches_randrange():
             while r >= n:
                 r = ours.getrandbits(k)
             expected = theirs.randrange(n)
-            assert r == expected, (
+            assert r == expected and ours.getstate() == theirs.getstate(), (
                 f"generate_ba's draw below {n} gave {r}, randrange gave "
-                f"{expected} (seed {seed}): this Python's randrange differs"
+                f"{expected} (seed {seed}): this Python's randrange differs, "
+                "and generate_ba's single draw, the n = 1 draw of a one-node "
+                "seed included, depends on it"
             )
 
 
@@ -111,16 +113,11 @@ def test_generate_peak_memory_is_a_small_multiple_of_the_result():
     # Passing the urn's edges to build_graph peaked at 2.4x the memory of
     # the returned graph; filling the rows directly and turning each into
     # its tuple in place peaks at 1.6x.
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        g = generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5))
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    g, peak, retained = traced(
+        lambda: generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5))
+    )
     assert g.node_count == 20_000
-    assert (peak - base) < 2 * (retained - base), (peak - base, retained - base)
+    assert peak < 2 * retained, (peak, retained)
 
 
 def test_config_validation():

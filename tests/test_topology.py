@@ -24,7 +24,7 @@ from degreesearch import (
 from degreesearch import cli, topology
 from degreesearch.topology import giant_component
 
-from helpers import reference_load_edge_list
+from helpers import reference_load_edge_list, traced
 
 
 def write(tmp_path, text, name="edges.txt"):
@@ -708,19 +708,6 @@ def test_unread_id_map_holds_no_labels(tmp_path):
     assert id_map.internal_to_external == [str(u) for u in range(20_000)]
 
 
-def _load_under_tracemalloc(path):
-    # The peak and the retained memory of one load, above what came before.
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        loaded = load_edge_list(path)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return loaded, peak - base, retained - base
-
-
 def test_load_peak_memory_is_a_small_multiple_of_the_result(tmp_path):
     # Holding every edge as a pair of label strings peaked at 7.2x the
     # memory of the returned graph and map; integer edge IDs peaked at
@@ -730,7 +717,7 @@ def test_load_peak_memory_is_a_small_multiple_of_the_result(tmp_path):
     # indexed by the integer labels themselves.
     path = tmp_path / "ba.txt"
     save_edge_list(generate_ba(BaConfig(n=20_000, m_attach=3, seed_size=3, rng_seed=5)), path)
-    loaded, peak, retained = _load_under_tracemalloc(path)
+    loaded, peak, retained = traced(lambda: load_edge_list(path))
     assert loaded[0].node_count == 20_000
     assert peak < 2 * retained, (peak, retained)
 
@@ -759,7 +746,7 @@ def test_load_peak_memory_stays_a_small_multiple_for_other_labels(
     if labelling == "strings-giant":
         lines.append("x y")
     path = write(tmp_path, "\n".join(lines) + "\n")
-    loaded, peak, retained = _load_under_tracemalloc(path)
+    loaded, peak, retained = traced(lambda: load_edge_list(path))
     assert loaded[0].node_count == 20_000
     assert peak < 2 * retained, (peak, retained)
     assert len(line_parses) == (labelling != "one-based")
