@@ -49,7 +49,8 @@ class Graph:
     ``None`` until their node's entry is first asked for.  The walk reads
     a ranking as ``ranked[u] or fill(u)``, the cache first and
     ``_fill_ranking`` on a miss.  ``neighbor_sets`` backs ``neighbor_set``,
-    the one accessor that fills it.  Like ``degrees`` they are derived
+    the one accessor that fills it, which serves ``has_edge``, the
+    three-hop route tail and the tests.  Like ``degrees`` they are derived
     from the two fields: equality and hashing ignore them, and a pickled
     copy answers every lookup the same way whatever had been built.
     """

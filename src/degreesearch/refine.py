@@ -35,14 +35,15 @@ def refine_route(g: Graph, route: Route) -> RefinementResult:
     Raises:
         RouteError: If ``route`` is empty, revisits a node, or has
             non-adjacent consecutive nodes.
+        NodeIdError: If a route node is outside ``[0, g.node_count)``.
     """
     nodes = route.nodes
     if not nodes:
         raise RouteError("route has no nodes")
     for node in nodes:
         _check_node(g, node)
-    # The hops are checked on the sorted adjacency rows; only the nodes the
-    # scan below keeps need a neighbor set.
+    # The hops, and the scan below, bisect the sorted adjacency rows: no
+    # neighbor set is built.
     adjacency = g.adjacency
     for a, b in zip(nodes, nodes[1:]):
         row = adjacency[a]
@@ -54,12 +55,13 @@ def refine_route(g: Graph, route: Route) -> RefinementResult:
     kept = [nodes[-1]]
     current = len(nodes) - 1
     while current > 0:
-        adjacent = g.neighbor_set(nodes[current])
+        row = adjacency[nodes[current]]
         # The node right before `current` is adjacent by construction, so
         # this always stops at an index < current.
-        for i in range(current):
-            if nodes[i] in adjacent:
+        for i, x in enumerate(nodes):
+            j = bisect_left(row, x)
+            if j < len(row) and row[j] == x:
                 break
-        kept.append(nodes[i])
+        kept.append(x)
         current = i
     return RefinementResult(original=route, refined=Route(tuple(reversed(kept))))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ConfigError, RouteError
@@ -245,8 +246,9 @@ def _tail(g: Graph, via: int, target: int) -> list[int]:
     """The nodes after ``via`` on the reference shortest path to ``target``.
 
     The search stops only once ``via`` sees the target, so the distance is
-    at most 3 and the neighbor set of ``via``, met with adjacency rows,
-    replaces a BFS.  Walking back from the target, each step takes the
+    at most 3 and a few adjacency rows replace a BFS: one and two hops
+    bisect the sorted row of ``via``, and only a three-hop tail asks for
+    its neighbor set.  Walking back from the target, each step takes the
     smallest-ID neighbor one hop closer to ``via``: the same rule as the
     BFS oracle in ``graphs``.
 
@@ -256,12 +258,15 @@ def _tail(g: Graph, via: int, target: int) -> list[int]:
     if via == target:
         return []
     adjacency = g.adjacency
-    near = g.neighbor_set(via)
-    if target in near:
+    row = adjacency[via]
+    i = bisect_left(row, target)
+    if i < len(row) and row[i] == target:
         return [target]
     for m in adjacency[target]:
-        if m in near:
+        i = bisect_left(row, m)
+        if i < len(row) and row[i] == m:
             return [m, target]
+    near = g.neighbor_set(via)
     for b in adjacency[target]:
         if not near.isdisjoint(adjacency[b]):
             a = next(a for a in adjacency[b] if a in near)
@@ -284,6 +289,8 @@ def materialize_route(g: Graph, trace: WalkTrace, target: int) -> Route:
         RouteError: If the trace did not find the target, names no
             ``found_via``, or its ``found_via`` is more than 3 hops from
             the target.
+        NodeIdError: If ``target`` or ``found_via`` is outside
+            ``[0, g.node_count)``.
     """
     via = trace.found_via
     if trace.outcome is not SearchOutcome.FOUND or via is None:

@@ -447,6 +447,24 @@ def test_walk_layers_are_called_by_module_level_name(monkeypatch):
     }
 
 
+def test_route_layers_build_no_neighbor_sets():
+    # The walk builds none (test_searches_build_views_only_where_they_look
+    # in test_search); h2 tails and refinement bisect sorted adjacency
+    # rows, so a chunk of h2 searches leaves the whole cache unbuilt.
+    g = generate_ba(BaConfig(n=2_000, m_attach=3, rng_seed=0))
+    variants = tuple(
+        VariantSpec(visibility_h=2, consult_budget_c=c, refine=refine)
+        for refine in (False, True)
+        for c in (0, 5)
+    )
+    pairs = sample_pairs(g, 200, 0)
+    results = experiment._run_chunk(g, variants, 0, 0, 0, pairs)
+    assert g.neighbor_sets == [None] * g.node_count
+    # (outcome, walk_steps, route_length, refined_length, consults, oracle)
+    refined = [(r[2], r[3]) for r in results if r[3] is not None]
+    assert len(refined) > 200 and any(b < a for a, b in refined)
+
+
 def test_topology_file_is_loaded_by_module_level_name(tmp_path, monkeypatch):
     # perfbench marks the end of set-up, and times the load, by wrapping
     # ``experiment.load_edge_list``, and takes the graph from the first

@@ -20,7 +20,13 @@ from degreesearch import (
     run_search,
 )
 
-from helpers import path, pivot_indices, random_graph, random_simple_path
+from helpers import (
+    path,
+    pivot_indices,
+    random_graph,
+    random_simple_path,
+    reference_refined_length,
+)
 
 
 def cycle(n):
@@ -133,10 +139,10 @@ def test_refinement_only_reads_route_adjacency():
     assert recorder.asked <= set(nodes)
 
 
-def test_refinement_builds_neighbor_sets_only_for_kept_nodes():
-    # Hops are checked on adjacency rows; only the greedy scan asks for
-    # neighbor sets, and only of the nodes it keeps.  (At m = 1 the graph
-    # is a tree plus the seed clique, so routes have nothing to shortcut.)
+def test_refinement_builds_no_neighbor_sets():
+    # The hop check and the greedy scan both bisect adjacency rows, so no
+    # neighbor set is built.  (At m = 1 the graph is a tree plus the seed
+    # clique, so routes have nothing to shortcut.)
     for m in (2, 3):
         adjacency = generate_ba(BaConfig(n=2_000, m_attach=m, rng_seed=m)).adjacency
         g = Graph(len(adjacency), adjacency)
@@ -148,11 +154,26 @@ def test_refinement_builds_neighbor_sets_only_for_kept_nodes():
             if trace.outcome is SearchOutcome.FOUND:
                 routes.append(materialize_route(g, trace, t))
         g = Graph(len(adjacency), adjacency)
-        kept, shortened = set(), 0
+        shortened = 0
         for route in routes:
-            refined = refine_route(g, route).refined
-            kept.update(refined.nodes)
-            shortened += refined.length < route.length
-        built = {u for u, entry in enumerate(g.neighbor_sets) if entry is not None}
-        assert built <= kept
+            shortened += refine_route(g, route).refined.length < route.length
+        assert g.neighbor_sets == [None] * g.node_count
         assert shortened > 0, m
+
+
+@pytest.mark.parametrize(
+    "nodes, chords, expected",
+    [
+        # The source, 9, lies above the target's row (2,); no shortcut.
+        ((9, 1, 2, 3), [], (9, 1, 2, 3)),
+        # The source, 0, lies below the target's row (6,); no shortcut.
+        ((0, 5, 6, 7), [], (0, 5, 6, 7)),
+        # 9 and 1 miss the target's row (2, 3) above and below it; 2 is in it.
+        ((9, 1, 2, 3, 4), [(2, 4)], (9, 1, 2, 4)),
+    ],
+)
+def test_refinement_probes_past_the_ends_of_a_row(nodes, chords, expected):
+    g = build_graph(list(zip(nodes, nodes[1:])) + chords, 10)
+    refined = refine_route(g, Route(nodes)).refined.nodes
+    assert refined == expected
+    assert len(refined) - 1 == reference_refined_length(g, nodes)

@@ -633,10 +633,10 @@ def test_materialize_tail_matches_shortest_path():
     assert consult_found > 0
 
 
-def test_tail_asks_only_for_via_neighbor_set(monkeypatch):
-    # The walk asks for no neighbor set.  The tail asks for the set of
-    # ``via`` alone, and meets it with adjacency rows even on a three-hop
-    # tail.
+def test_tail_asks_for_a_neighbor_set_only_on_three_hops(monkeypatch):
+    # The walk asks for no neighbor set.  One- and two-hop tails bisect the
+    # sorted row of ``via``; only a three-hop tail asks for a set, that of
+    # ``via`` alone, and meets it with adjacency rows.
     asked = []
     neighbor_set = Graph.neighbor_set
 
@@ -661,7 +661,7 @@ def test_tail_asks_only_for_via_neighbor_set(monkeypatch):
                 via = trace.found_via
                 hops = pair_distance(g, via, t)
                 three_hop += hops == 3
-                assert asked == ([via] if hops else [])
+                assert asked == ([via] if hops == 3 else [])
                 asked.clear()
     assert three_hop > 0
 
@@ -693,6 +693,25 @@ def test_materialize_three_hop_tail_takes_smallest_ids():
     g = build_graph([(0, 1), (0, 2), (1, 4), (2, 3), (3, 9), (4, 9)], 10)
     assert materialize_route(g, found_trace((0,), 0), 9).nodes == (0, 2, 3, 9)
     assert shortest_path(g, 0, 9).nodes == (0, 2, 3, 9)
+
+
+@pytest.mark.parametrize(
+    "edges, via, target",
+    [
+        # The target lies above every entry of the row of ``via``, 0: (1, 2).
+        ([(0, 1), (0, 2), (2, 9)], 0, 9),
+        # Below it: the row of 5 is (6, 7) and the target is 0.
+        ([(5, 6), (5, 7), (7, 0)], 5, 0),
+        # A probed neighbor of the target, 1, lies below the row (6, 7).
+        ([(5, 6), (5, 7), (9, 1), (9, 7)], 5, 9),
+        # The target's one neighbor, 5, lies above the row (1, 2): three hops.
+        ([(0, 1), (0, 2), (2, 5), (5, 9)], 0, 9),
+    ],
+)
+def test_materialize_tail_at_the_ends_of_the_row_of_via(edges, via, target):
+    g = build_graph(edges, 10)
+    expected = shortest_path(g, via, target).nodes
+    assert materialize_route(g, found_trace((via,), via), target).nodes == expected
 
 
 def test_materialize_rejects_via_four_hops_from_target():
