@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import math
 import operator
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,10 +50,10 @@ class Graph:
     ``None`` until their node's entry is first asked for.  The walk reads
     a ranking as ``ranked[u] or fill(u)``, the cache first and
     ``_fill_ranking`` on a miss.  ``neighbor_sets`` backs ``neighbor_set``,
-    the one accessor that fills it, which serves ``has_edge``, the
-    three-hop route tail and the tests.  Like ``degrees`` they are derived
-    from the two fields: equality and hashing ignore them, and a pickled
-    copy answers every lookup the same way whatever had been built.
+    the one accessor that fills it, which serves ``has_edge`` and the
+    tests only (the route layers use ``_first_in_row``).  Like ``degrees``
+    they derive from the two fields: equality and hashing ignore them, and
+    a pickled copy answers every lookup the same whatever had been built.
     """
 
     node_count: int
@@ -137,6 +138,16 @@ class DegreeStats:
 def _check_node(g: Graph, node: int, role: str = "node") -> None:
     if not 0 <= node < g.node_count:
         raise NodeIdError(node, g.node_count, role)
+
+
+def _first_in_row(row: Sequence[int], probes: Iterable[int]) -> int:
+    """Index of the first of ``probes`` in the sorted ``row``, or -1; builds no set."""
+    n = len(row)
+    for i, x in enumerate(probes):
+        j = bisect_left(row, x)
+        if j < n and row[j] == x:
+            return i
+    return -1
 
 
 def build_graph(edges: Iterable[Sequence[int]], node_count: int) -> Graph:

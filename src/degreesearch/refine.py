@@ -9,11 +9,10 @@ source is reached.  The kept nodes form a much shorter simple path.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import RouteError
-from .graphs import Graph, Route, _check_node
+from .graphs import Graph, Route, _check_node, _first_in_row
 
 __all__ = ["RefinementResult", "refine_route"]
 
@@ -42,26 +41,18 @@ def refine_route(g: Graph, route: Route) -> RefinementResult:
         raise RouteError("route has no nodes")
     for node in nodes:
         _check_node(g, node)
-    # The hops, and the scan below, bisect the sorted adjacency rows: no
-    # neighbor set is built.
+    # The hops and the scan below probe sorted rows: no neighbor set is built.
     adjacency = g.adjacency
     for a, b in zip(nodes, nodes[1:]):
-        row = adjacency[a]
-        i = bisect_left(row, b)
-        if i == len(row) or row[i] != b:
+        if _first_in_row(adjacency[a], (b,)) < 0:
             raise RouteError(f"route nodes {a} and {b} are not adjacent")
     if len(set(nodes)) != len(nodes):
         raise RouteError("route revisits a node")
     kept = [nodes[-1]]
     current = len(nodes) - 1
     while current > 0:
-        row = adjacency[nodes[current]]
         # The node right before `current` is adjacent by construction, so
         # this always stops at an index < current.
-        for i, x in enumerate(nodes):
-            j = bisect_left(row, x)
-            if j < len(row) and row[j] == x:
-                break
-        kept.append(x)
-        current = i
+        current = _first_in_row(adjacency[nodes[current]], nodes)
+        kept.append(nodes[current])
     return RefinementResult(original=route, refined=Route(tuple(reversed(kept))))

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import enum
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ConfigError, RouteError
-from .graphs import Graph, Route, _check_node, bfs_distances
+from .graphs import Graph, Route, _check_node, _first_in_row, bfs_distances
 
 __all__ = [
     "SearchConfig",
@@ -246,11 +245,11 @@ def _tail(g: Graph, via: int, target: int) -> list[int]:
     """The nodes after ``via`` on the reference shortest path to ``target``.
 
     The search stops only once ``via`` sees the target, so the distance is
-    at most 3 and a few adjacency rows replace a BFS: one and two hops
-    bisect the sorted row of ``via``, and only a three-hop tail asks for
-    its neighbor set.  Walking back from the target, each step takes the
-    smallest-ID neighbor one hop closer to ``via``: the same rule as the
-    BFS oracle in ``graphs``.
+    at most 3 and a few adjacency rows replace a BFS: ``_first_in_row``
+    probes the sorted row of ``via`` with the target, then its row, then
+    the row of each of its neighbors, and builds no set.  Walking back
+    from the target, each step takes the smallest-ID neighbor one hop
+    closer to ``via``: the same rule as the BFS oracle in ``graphs``.
 
     Raises:
         RouteError: If the target is more than 3 hops from ``via``.
@@ -259,18 +258,16 @@ def _tail(g: Graph, via: int, target: int) -> list[int]:
         return []
     adjacency = g.adjacency
     row = adjacency[via]
-    i = bisect_left(row, target)
-    if i < len(row) and row[i] == target:
+    if _first_in_row(row, (target,)) == 0:
         return [target]
-    for m in adjacency[target]:
-        i = bisect_left(row, m)
-        if i < len(row) and row[i] == m:
-            return [m, target]
-    near = g.neighbor_set(via)
-    for b in adjacency[target]:
-        if not near.isdisjoint(adjacency[b]):
-            a = next(a for a in adjacency[b] if a in near)
-            return [a, b, target]
+    near = adjacency[target]
+    i = _first_in_row(row, near)
+    if i >= 0:
+        return [near[i], target]
+    for b in near:
+        i = _first_in_row(row, adjacency[b])
+        if i >= 0:
+            return [adjacency[b][i], b, target]
     raise RouteError(
         f"trace claims the target was seen from {via}, but {target} is more than 3 hops away"
     )
@@ -286,16 +283,17 @@ def materialize_route(g: Graph, trace: WalkTrace, target: int) -> Route:
     result is the loop erasure of the whole delivered walk.
 
     Raises:
-        RouteError: If the trace did not find the target, names no
-            ``found_via``, or its ``found_via`` is more than 3 hops from
-            the target.
+        RouteError: If the trace did not find the target, has an empty
+            ``path`` or no ``found_via``, or its ``found_via`` is more
+            than 3 hops from the target.
         NodeIdError: If ``target`` or ``found_via`` is outside
             ``[0, g.node_count)``.
     """
     via = trace.found_via
-    if trace.outcome is not SearchOutcome.FOUND or via is None:
+    if trace.outcome is not SearchOutcome.FOUND or via is None or not trace.path:
         raise RouteError(
             f"cannot materialize a route from outcome {trace.outcome.value}, found_via {via}"
+            f" and {len(trace.path)} path nodes"
         )
     _check_node(g, target, "target")
     _check_node(g, via, "found_via")

@@ -13,6 +13,8 @@ from degreesearch import (
     VariantSpec,
     bfs_distances,
     build_graph,
+    pair_distance,
+    refine_route,
     shortest_path,
 )
 from degreesearch.graphs import components
@@ -115,6 +117,25 @@ def pivot_indices(result):
     descending when it only ever jumps backwards."""
     position = {node: i for i, node in enumerate(result.original.nodes)}
     return tuple(position[node] for node in reversed(result.refined.nodes[:-1]))
+
+
+def check_refinement_laws(g, result):
+    """Assert the laws of one ``refine_route`` result: it keeps the
+    endpoints, it is a simple path of adjacent hops, no longer than the
+    original and no shorter than the distance, its pivots descend to 0,
+    and refining it again changes nothing."""
+    nodes, refined = result.original.nodes, result.refined.nodes
+    assert refined[0] == nodes[0] and refined[-1] == nodes[-1]
+    assert len(set(refined)) == len(refined)
+    for a, b in zip(refined, refined[1:]):
+        assert g.has_edge(a, b)
+    assert result.refined.length <= result.original.length
+    assert result.refined.length >= pair_distance(g, nodes[0], nodes[-1])
+    if len(nodes) > 1:
+        pivots = pivot_indices(result)
+        assert pivots[-1] == 0
+        assert all(a > b for a, b in zip(pivots, pivots[1:]))
+    assert refine_route(g, result.refined).refined == result.refined
 
 
 def floyd_warshall(g):

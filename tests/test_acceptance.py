@@ -36,9 +36,9 @@ from degreesearch import (
 
 from helpers import (
     CANONICAL_VARIANTS,
+    check_refinement_laws,
     config_model,
     floyd_warshall,
-    pivot_indices,
     random_graph,
     random_simple_path,
     reference_load_edge_list,
@@ -188,19 +188,7 @@ def test_criterion_5b_refinement_properties():
         g = random_graph(rng, rng.randrange(2, 45), 0.12, ensure_connected=True)
         for _ in range(50):
             nodes = tuple(random_simple_path(rng, g))
-            result = refine_route(g, Route(nodes))
-            refined = result.refined.nodes
-            assert refined[0] == nodes[0] and refined[-1] == nodes[-1]
-            assert len(set(refined)) == len(refined)
-            for a, b in zip(refined, refined[1:]):
-                assert g.has_edge(a, b)
-            assert result.refined.length <= result.original.length
-            assert result.refined.length >= pair_distance(g, nodes[0], nodes[-1])
-            if len(nodes) > 1:
-                pivots = pivot_indices(result)
-                assert pivots[-1] == 0
-                assert all(a > b for a, b in zip(pivots, pivots[1:]))
-            assert refine_route(g, result.refined).refined == result.refined
+            check_refinement_laws(g, refine_route(g, Route(nodes)))
             instances += 1
     _report(
         "5b (refinement properties)", instances >= 10_000, f"{instances} instances"

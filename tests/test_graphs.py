@@ -21,7 +21,7 @@ from degreesearch import (
     save_edge_list,
     shortest_path,
 )
-from degreesearch.graphs import _fit_exponent, components
+from degreesearch.graphs import _first_in_row, _fit_exponent, components
 
 from helpers import check_graph_invariants, floyd_warshall, path, random_graph, star5
 
@@ -164,6 +164,26 @@ def test_isolated_node_has_empty_views():
     assert g.neighbor_sets[2] == frozenset() and g.neighbors_by_degree[2] == ()
     # The empty set is cached too, not rebuilt on each call.
     assert g.neighbor_set(2) is g.neighbor_set(2) is g.neighbor_sets[2]
+
+
+@pytest.mark.parametrize(
+    "row, probes, expected",
+    [
+        # A probe below the row's first entry, then one above its last.
+        ((3, 5, 8), (1, 9), -1),
+        ((3, 5, 8), (1, 9, 8), 2),
+        # Probes between entries miss.
+        ((3, 5, 8), (4, 6, 7), -1),
+        # An isolated node's empty row, then no probes at all.
+        ((), (0, 1), -1),
+        ((3, 5, 8), (), -1),
+        # Several hits: the first probe wins, whatever its place in the row.
+        ((3, 5, 8), (9, 8, 3, 5), 1),
+    ],
+)
+def test_first_in_row_at_the_ends_of_a_row(row, probes, expected):
+    assert _first_in_row(row, probes) == expected
+    assert expected == next((i for i, x in enumerate(probes) if x in row), -1)
 
 
 def test_pickle_keeps_partly_built_views_equivalent():

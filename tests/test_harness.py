@@ -449,13 +449,13 @@ def test_walk_layers_are_called_by_module_level_name(monkeypatch):
 
 def test_route_layers_build_no_neighbor_sets():
     # The walk builds none (test_searches_build_views_only_where_they_look
-    # in test_search); h2 tails and refinement bisect sorted adjacency
-    # rows, so a chunk of h2 searches leaves the whole cache unbuilt.
+    # in test_search); the tails of every walk configuration, h3's
+    # three-hop tails included, and refinement probe sorted adjacency
+    # rows, so a chunk of the canonical variants plus h2c5+refine leaves
+    # the whole cache unbuilt.
     g = generate_ba(BaConfig(n=2_000, m_attach=3, rng_seed=0))
-    variants = tuple(
-        VariantSpec(visibility_h=2, consult_budget_c=c, refine=refine)
-        for refine in (False, True)
-        for c in (0, 5)
+    variants = CANONICAL_VARIANTS + (
+        VariantSpec(visibility_h=2, consult_budget_c=5, refine=True),
     )
     pairs = sample_pairs(g, 200, 0)
     results = experiment._run_chunk(g, variants, 0, 0, 0, pairs)

@@ -15,12 +15,12 @@ from degreesearch import (
     build_graph,
     generate_ba,
     materialize_route,
-    pair_distance,
     refine_route,
     run_search,
 )
 
 from helpers import (
+    check_refinement_laws,
     path,
     pivot_indices,
     random_graph,
@@ -88,20 +88,7 @@ def test_random_routes_properties():
         rng = random.Random(seed)
         g = random_graph(rng, rng.randrange(2, 50), 0.15, ensure_connected=True)
         nodes = random_simple_path(rng, g)
-        result = refine_route(g, Route(tuple(nodes)))
-        refined = result.refined.nodes
-        assert refined[0] == nodes[0] and refined[-1] == nodes[-1]
-        assert len(set(refined)) == len(refined)
-        for a, b in zip(refined, refined[1:]):
-            assert g.has_edge(a, b)
-        assert result.refined.length <= result.original.length
-        assert result.refined.length >= pair_distance(g, nodes[0], nodes[-1])
-        if len(nodes) > 1:
-            pivots = pivot_indices(result)
-            assert list(pivots) == sorted(pivots, reverse=True)
-            assert pivots[-1] == 0
-        again = refine_route(g, result.refined)
-        assert again.refined == result.refined
+        check_refinement_laws(g, refine_route(g, Route(tuple(nodes))))
 
 
 class RecordingRows:
@@ -120,14 +107,9 @@ class RecordingGraph:
     """Adjacency wrapper that records which nodes were inspected."""
 
     def __init__(self, g):
-        self._g = g
         self.node_count = g.node_count
         self.asked = set()
         self.adjacency = RecordingRows(g.adjacency, self.asked)
-
-    def neighbor_set(self, u):
-        self.asked.add(u)
-        return self._g.neighbor_set(u)
 
 
 def test_refinement_only_reads_route_adjacency():
